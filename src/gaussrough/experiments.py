@@ -39,8 +39,8 @@ from .karhunen_loeve import (
     project,
 )
 from .path_lift import SamplePath, _lift_values, uniform_grid
-from .tensor_group import _hom_norm_levels, _inv_levels, _log_levels, _mul_levels
-from .variation_metrics import _dp_max_sum, rho_var_2d
+from .tensor_group import _hom_norm_levels, _log_levels
+from .variation_metrics import BRUTE_MAX_2D, _dp_max_sum, pair_dist_table, rho_var_2d
 
 __all__ = [
     "ConfigError",
@@ -197,6 +197,8 @@ def load_config(experiment: str, data: dict, seed_override: int | None = None) -
     kernel = _build_kernel(data["kernel"])
     n = _positive_int(data, "n", minimum=1)
     seed = _positive_int(data, "seed", minimum=0) if seed_override is None else seed_override
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
 
     kw: dict = {}
     if "d" in allowed:
@@ -206,8 +208,8 @@ def load_config(experiment: str, data: dict, seed_override: int | None = None) -
     for key in ("p", "q", "alpha", "rho"):
         if key in allowed and key in data:
             v = data[key]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"{key!r} must be a number")
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+                raise ConfigError(f"{key!r} must be a finite number")
             kw[key] = float(v)
     if "m" in allowed and "m" in data:
         m = data["m"]
@@ -300,8 +302,11 @@ def _validate_regime(cfg: ExperimentConfig) -> None:
             raise ConfigError("pvar requires p")
         if cfg.samples < 1:
             raise ConfigError("pvar requires samples >= 1")
-    if cfg.experiment == "rhovar" and cfg.rho is not None and cfg.rho < 1.0:
-        raise ConfigError("rho must be >= 1")
+    if cfg.experiment == "rhovar":
+        if cfg.rho is not None and cfg.rho < 1.0:
+            raise ConfigError("rho must be >= 1")
+        if cfg.search == "brute" and cfg.n > BRUTE_MAX_2D:
+            raise ConfigError(f"search 'brute' is limited to n <= {BRUTE_MAX_2D}")
 
 
 @dataclass(frozen=True)
@@ -395,24 +400,6 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence((seed,) + key).generate_state(1)[0])
 
 
-def _pair_table_from_levels(levels: list[np.ndarray], other: list[np.ndarray] | None, n_nodes: int) -> np.ndarray:
-    """Node-pair increment distances for one stacked path (optionally vs another)."""
-    i_idx, j_idx = np.triu_indices(n_nodes, k=1)
-
-    def inc(lv):
-        inv = _inv_levels(lv)
-        return _mul_levels([x[i_idx] for x in inv], [x[j_idx] for x in lv])
-
-    a = inc(levels)
-    if other is None:
-        d = _hom_norm_levels(a)
-    else:
-        d = _hom_norm_levels(_mul_levels(_inv_levels(a), inc(other)))
-    table = np.zeros((n_nodes, n_nodes))
-    table[i_idx, j_idx] = d
-    return table
-
-
 def _q_mean(dists: np.ndarray, q: float) -> tuple[float, float]:
     """E[dist^q]^{1/q} with its delta-method standard error."""
     powed = dists**q
@@ -448,29 +435,19 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
     values, full_levels = _sample_levels(r, cfg, cfg.samples, _child_seed(cfg.seed, 0))
     alpha = cfg.alpha if cfg.alpha is not None else 1.0 / cfg.p
     holder = cfg.kernel.kind in ("brownian", "fbm")
-    n_nodes = grid.n_nodes
-    i_idx, j_idx = np.triu_indices(n_nodes, k=1)
+    i_idx, j_idx = np.triu_indices(grid.n_nodes, k=1)
     gaps = grid.times[j_idx] - grid.times[i_idx]
+
+    def pvar_and_holder(table):
+        pvar = _dp_max_sum(table**cfg.p) ** (1.0 / cfg.p)
+        return pvar, np.max(table[:, i_idx, j_idx] / gaps**alpha, axis=-1)
 
     records = []
     for a, m in zip(_mode_sets(cfg, basis.rank), cfg.m):
         sel = basis.phi[a.as_array()]
         proj = np.einsum("sct,mt,mu->scu", values, sel, sel, optimize=True)
-        proj_levels = _lift_values(proj, 3)
-        tail_levels = _lift_values(values - proj, 3)
-        pvar = np.empty(cfg.samples)
-        hold = np.empty(cfg.samples)
-        tail_pvar = np.empty(cfg.samples)
-        tail_hold = np.empty(cfg.samples)
-        for s in range(cfg.samples):
-            table = _pair_table_from_levels(
-                [lv[s] for lv in proj_levels], [lv[s] for lv in full_levels], n_nodes
-            )
-            pvar[s] = _dp_max_sum(table**cfg.p) ** (1.0 / cfg.p)
-            hold[s] = np.max(table[i_idx, j_idx] / gaps**alpha)
-            tail = _pair_table_from_levels([lv[s] for lv in tail_levels], None, n_nodes)
-            tail_pvar[s] = _dp_max_sum(tail**cfg.p) ** (1.0 / cfg.p)
-            tail_hold[s] = np.max(tail[i_idx, j_idx] / gaps**alpha)
+        pvar, hold = pvar_and_holder(pair_dist_table(_lift_values(proj, 3), full_levels))
+        tail_pvar, tail_hold = pvar_and_holder(pair_dist_table(_lift_values(values - proj, 3)))
         for name, data in (
             ("kl_pvar_qmean", pvar),
             ("kl_tail_pvar_qmean", tail_pvar),
@@ -500,14 +477,8 @@ def _run_dyadic(cfg: ExperimentConfig) -> list[ResultRecord]:
         interp = np.empty_like(fine_vals)
         interp[:, :, ::2] = coarse_vals
         interp[:, :, 1::2] = 0.5 * (coarse_vals[:, :, :-1] + coarse_vals[:, :, 1:])
-        lev_f = _lift_values(fine_vals, 3)
-        lev_c = _lift_values(interp, 3)
-        dists = np.empty(cfg.samples)
-        for s in range(cfg.samples):
-            table = _pair_table_from_levels(
-                [lv[s] for lv in lev_c], [lv[s] for lv in lev_f], fine + 1
-            )
-            dists[s] = _dp_max_sum(table**cfg.p) ** (1.0 / cfg.p)
+        table = pair_dist_table(_lift_values(interp, 3), _lift_values(fine_vals, 3))
+        dists = _dp_max_sum(table**cfg.p) ** (1.0 / cfg.p)
         value, se = _q_mean(dists, cfg.q)
         records.append(_record(cfg, "dyadic_pvar_qmean", value, se, m))
     return records
@@ -693,13 +664,9 @@ def run_pvar(cfg: ExperimentConfig) -> list[ResultRecord]:
     """p-variation norm of each sampled lift (per-sample rows)."""
     grid = uniform_grid(cfg.n)
     r = cov_matrix(cfg.kernel, grid)
-    values, levels = _sample_levels(r, cfg, cfg.samples, cfg.seed)
-    records = []
-    for s in range(cfg.samples):
-        table = _pair_table_from_levels([lv[s] for lv in levels], None, grid.n_nodes)
-        val = _dp_max_sum(table**cfg.p) ** (1.0 / cfg.p)
-        records.append(_record(cfg, "pvar_norm", val, None, s))
-    return records
+    _, levels = _sample_levels(r, cfg, cfg.samples, cfg.seed)
+    vals = _dp_max_sum(pair_dist_table(levels) ** cfg.p) ** (1.0 / cfg.p)
+    return [_record(cfg, "pvar_norm", val, None, s) for s, val in enumerate(vals)]
 
 
 def run_rhovar(cfg: ExperimentConfig) -> list[ResultRecord]:

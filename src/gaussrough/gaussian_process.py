@@ -65,6 +65,8 @@ class CovKernel:
             TimeGrid(t)
             if v.shape != (t.size, t.size):
                 raise ValueError("table values must be square over the table grid")
+            if not np.all(np.isfinite(v)):
+                raise ValueError("table values must be finite")
             if np.max(np.abs(v - v.T), initial=0.0) > 1e-12:
                 raise ValueError("table values must be symmetric")
             object.__setattr__(self, "table_times", t)

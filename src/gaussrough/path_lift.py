@@ -1,8 +1,9 @@
 """Piecewise-linear paths on [0, 1] and their step-N signature lifts.
 
 A sample path is a d-vector of node values on a shared time grid; its lift is
-the product of segment exponentials, so the degree-1 part of the lifted path
-is the path increment from time 0 (the start value is subtracted).  Chen's
+the product of segment exponentials, computed level by level as Chen
+cumulative sums of per-segment increments, so the degree-1 part of the lifted
+path is the path increment from time 0 (the start value is subtracted).  Chen's
 identity holds exactly: the increment of the lift between two nodes equals the
 lift of the path restricted to those nodes.
 
@@ -24,7 +25,6 @@ from .tensor_group import (
     _check_depth,
     _inv_levels,
     _mul_levels,
-    _unit_levels,
 )
 
 __all__ = [
@@ -51,7 +51,7 @@ class TimeGrid:
             raise ValueError("grid needs at least two nodes")
         if t[0] != 0.0 or t[-1] != 1.0:
             raise ValueError("grid must start at 0 and end at 1")
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):
             raise ValueError("grid times must be strictly increasing")
         object.__setattr__(self, "times", t)
 
@@ -137,37 +137,53 @@ class GroupPath:
         return cls(grid, stacked)
 
 
-def _segment_exp(delta: np.ndarray, depth: int) -> list[np.ndarray]:
-    # exp of a degree-1 element: 1 + v + v(x)v/2 + v(x)v(x)v/6.
-    lv = [np.ones(delta.shape[:-1]), delta]
-    if depth >= 2:
-        lv.append(np.einsum("...i,...j->...ij", delta, delta) / 2.0)
-    if depth >= 3:
-        lv.append(np.einsum("...i,...j,...k->...ijk", delta, delta, delta) / 6.0)
-    return lv
+def _times_delta(head: np.ndarray, delta: np.ndarray, out: np.ndarray) -> None:
+    # out[..., c] = head (x) delta[..., c]; head may be the view out[..., 0],
+    # which is why c = 0 is written last.
+    for c in reversed(range(delta.shape[-1])):
+        scale = delta[(Ellipsis, c) + (None,) * (head.ndim - delta.ndim + 1)]
+        np.multiply(head, scale, out=out[..., c])
 
 
 def _lift_values(values: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Scan of segment exponentials over the last (node) axis.
+    """Chen cumulative sums over the last (node) axis.
 
     values: (..., d, n_nodes) -> levels[k]: (..., n_nodes) + (d,)*k.
+
+    Chen's identity with the segment exponential exp(delta) gives the level-k
+    increment over segment m from the lower levels at node m:
+    S1 += delta, S2 += (S1 + delta/2) (x) delta and
+    S3 += (S2 + (S1/2 + delta/6) (x) delta) (x) delta.  Each level's
+    increments are built inside its output array, which is then summed in
+    place along the node axis, so no temporary larger than the path itself is
+    allocated.
     """
-    deltas = np.diff(values, axis=-1)
-    batch = values.shape[:-2]
-    d = values.shape[-2]
-    n_seg = deltas.shape[-1]
-    out = [np.empty(batch + (n_seg + 1,) + (d,) * k) for k in range(depth + 1)]
-
-    def node(k: int, m: int) -> tuple:
-        return (Ellipsis, m) + (slice(None),) * k
-
-    g = _unit_levels(d, depth, batch)
-    for k in range(depth + 1):
-        out[k][node(k, 0)] = g[k]
-    for m in range(n_seg):
-        g = _mul_levels(g, _segment_exp(deltas[..., m], depth))
-        for k in range(depth + 1):
-            out[k][node(k, m + 1)] = g[k]
+    delta = np.swapaxes(np.diff(values, axis=-1), -1, -2)  # (..., n_seg, d)
+    shape = delta.shape[:-2] + (delta.shape[-2] + 1,)
+    d = delta.shape[-1]
+    axis = len(shape) - 1
+    lead = (slice(None),) * axis
+    out = [np.ones(shape)]
+    for k in range(1, depth + 1):
+        lv = np.empty(shape + (d,) * k)
+        lv[lead + (0,)] = 0.0
+        inc = lv[lead + (slice(1, None),)]
+        if k == 1:
+            inc[...] = delta
+        else:
+            # The factor left of the last delta, built in the slot inc[..., 0].
+            head = inc[..., 0]
+            if k == 2:
+                np.divide(delta, 2.0, out=head)
+                head += out[1][..., :-1, :]
+            else:
+                np.divide(delta, 6.0, out=head[..., 0])
+                head[..., 0] += out[1][..., :-1, :] / 2.0
+                _times_delta(head[..., 0], delta, head)
+                head += out[2][..., :-1, :, :]
+            _times_delta(head, delta, inc)
+        np.cumsum(lv, axis=axis, out=lv)
+        out.append(lv)
     return out
 
 

@@ -9,7 +9,13 @@ max norm
     ||g|| = max_k max(|pi_k(g)|, |pi_k(g^{-1})|)^(1/k),
 
 which is equivalent to the Carnot-Caratheodory norm and exactly computable.
-The induced left-invariant distance is dist(g, h) = ||g^{-1} h||.
+The induced left-invariant distance is dist(g, h) = ||g^{-1} h||.  The public
+per-element API takes the inverse by the general Neumann series, so it also
+serves elements that were never checked to be group-like.  The hot paths
+(``variation_metrics.pair_dist_table``) work on increments of lifted paths,
+which are group-like: there the inverse is, level by level, a signed index
+reversal of g, so the symmetrized norm equals the plain max norm
+max_k |pi_k(g)|^(1/k) and they use that.
 
 The module-private ``*_levels`` helpers operate on lists of arrays with
 arbitrary leading batch axes (level k has shape ``batch + (d,)*k``); the

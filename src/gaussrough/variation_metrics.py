@@ -10,6 +10,13 @@ dissections of the grid, by exact dynamic programming in O(n^2) after an
 O(n^2) table of pairwise increment distances, or by explicit enumeration of
 all 2^(n-1) dissections for cross-checks on small grids.
 
+``pair_dist_table`` builds that table for level-stacked paths with any
+leading batch axes (the experiment runners pass all samples at once): Chen's
+identity gives every node-pair increment from the node values, the quotient
+X_ij^{-1} Y_ij is formed in difference form, and the plain max-level norm is
+taken, which equals the symmetrized norm on these group-like increments.
+``_dp_max_sum`` takes the same batch axes.
+
 The 2D functional for a covariance matrix R maximizes
 sum_{i,j} |rect increment of R over cell (i,j)|^rho over a single dissection
 used on both axes, and returns the rho-th root.  ``fullgrid`` evaluates the
@@ -20,13 +27,14 @@ few random restarts; it starts from the full grid, so it never returns less.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
 from .path_lift import GroupPath
-from .tensor_group import _hom_norm_levels, _inv_levels, _mul_levels
 
 __all__ = [
     "Dissection",
@@ -37,11 +45,15 @@ __all__ = [
     "rect_increment",
     "rho_var_2d",
     "all_dissections",
+    "pair_dist_table",
 ]
 
 _BRUTE_MAX_SEGMENTS = 14
-_BRUTE_MAX_2D = 10
+BRUTE_MAX_2D = 10
 _HILLCLIMB_RESTARTS = 8
+# Bytes allowed for one top-level array of node-pair increments: pair_dist_table
+# processes its batch in chunks of samples that fit.
+_PAIR_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,28 +79,68 @@ def all_dissections(n_segments: int):
             yield Dissection((0,) + combo + (n_segments,))
 
 
-def _pair_dist_table(x: GroupPath, y: GroupPath | None) -> np.ndarray:
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Tensor product of graded pieces stored tensor axis first, (d**p, ...)
+    # and (d**q, ...), so that the broadcast runs over the long batch axes.
+    return (a[:, None] * b[None, :]).reshape((-1,) + a.shape[1:])
+
+
+def _left_quotient(x: list[np.ndarray], y: list[np.ndarray]) -> list[np.ndarray]:
+    """Levels 1..depth of x^{-1} (x) y from levels 1..depth of x and y.
+
+    Both have scalar part 1; level k is stored flattened as (d**k, ...).
+    Solving Chen's identity y = x (x) z degree by degree gives
+    z_k = (y_k - x_k) - sum_{p<k} x_p (x) z_{k-p}, which is the Neumann-series
+    product x^{-1} (x) y written in difference form: x = y gives exactly 0.
+    """
+    z: list[np.ndarray] = []
+    for k in range(len(x)):
+        acc = y[k] - x[k]
+        for p in range(k):
+            acc -= _outer(x[p], z[k - 1 - p])
+        z.append(acc)
+    return z
+
+
+def pair_dist_table(x: Sequence[np.ndarray], y: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """Distances d(X_{t_i,t_j}, Y_{t_i,t_j}) for all node pairs i < j.
 
-    Returns a dense (n_nodes, n_nodes) array, zero on and below the diagonal.
-    y = None compares against the constant path, i.e. returns ||X_{t_i,t_j}||.
+    ``x`` and ``y`` are level-stacked group paths with any leading batch axes:
+    level k has shape ``batch + (n_nodes,) + (d,)*k`` (level 0 is ignored and
+    taken to be 1).  Returns ``batch + (n_nodes, n_nodes)``, zero on and below
+    the diagonal; ``y=None`` compares against the constant path, i.e. gives
+    ||X_{t_i,t_j}||.  The increments X_ij = X_i^{-1} (x) X_j and the quotient
+    X_ij^{-1} (x) Y_ij both come from ``_left_quotient``; the norm is the plain
+    max-level norm (see the module docstring).
     """
-    n = x.grid.n_nodes
+    depth = len(x) - 1
+    n, d = x[1].shape[-2], x[1].shape[-1]
+    batch = x[1].shape[:-2]
+    size = math.prod(batch)
     i_idx, j_idx = np.triu_indices(n, k=1)
-
-    def increments(gp: GroupPath) -> list[np.ndarray]:
-        inv = _inv_levels(list(gp.levels))
-        return _mul_levels([lv[i_idx] for lv in inv], [lv[j_idx] for lv in gp.levels])
-
-    inc_x = increments(x)
-    if y is None:
-        d = _hom_norm_levels(inc_x)
-    else:
-        inc_y = increments(y)
-        d = _hom_norm_levels(_mul_levels(_inv_levels(inc_x), inc_y))
-    table = np.zeros((n, n))
-    table[i_idx, j_idx] = d
-    return table
+    # Level k as (d**k, size, n_nodes): tensor axis first, nodes last.
+    flat = [
+        [np.moveaxis(lv.reshape((size, n, d**k)), -1, 0) for k, lv in enumerate(g[1:], start=1)]
+        for g in ([x] if y is None else [x, y])
+    ]
+    chunk = max(1, _PAIR_CHUNK_BYTES // (8 * i_idx.size * d**depth))
+    out = np.zeros((size, n, n))
+    for lo in range(0, size, chunk):
+        rows = slice(lo, lo + chunk)
+        # np.take keeps the gathered pairs contiguous along the last axis.
+        inc = [
+            _left_quotient(
+                [np.take(lv[:, rows], i_idx, axis=-1) for lv in g],
+                [np.take(lv[:, rows], j_idx, axis=-1) for lv in g],
+            )
+            for g in flat
+        ]
+        z = inc[0] if y is None else _left_quotient(inc[0], inc[1])
+        dist = np.zeros(z[0].shape[1:])
+        for k, lv in enumerate(z, start=1):
+            dist = np.maximum(dist, np.sqrt(np.sum(lv * lv, axis=0)) ** (1.0 / k))
+        out[rows, i_idx, j_idx] = dist
+    return out.reshape(batch + (n, n))
 
 
 def _check_shared_grid(x: GroupPath, y: GroupPath | None) -> None:
@@ -100,14 +152,13 @@ def _check_shared_grid(x: GroupPath, y: GroupPath | None) -> None:
         raise ValueError("paths must share dim and depth")
 
 
-def _dp_max_sum(cost: np.ndarray) -> float:
-    # cost[i, j] for i < j; best[j] = max over dissections of 0..j.
-    n = cost.shape[0]
-    best = np.empty(n)
-    best[0] = 0.0
+def _dp_max_sum(cost: np.ndarray) -> np.ndarray:
+    # cost[..., i, j] for i < j; best[..., j] = max over dissections of 0..j.
+    n = cost.shape[-1]
+    best = np.zeros(cost.shape[:-1])
     for j in range(1, n):
-        best[j] = np.max(best[:j] + cost[:j, j])
-    return float(best[-1])
+        best[..., j] = np.max(best[..., :j] + cost[..., :j, j], axis=-1)
+    return best[..., -1]
 
 
 def _brute_max_sum(cost: np.ndarray) -> float:
@@ -131,9 +182,9 @@ def pvar_dist(x: GroupPath, y: GroupPath | None, p: float, mode: str = "dp") -> 
     if p < 1.0:
         raise ValueError("p must be >= 1")
     _check_shared_grid(x, y)
-    cost = _pair_dist_table(x, y) ** p
+    cost = pair_dist_table(x.levels, None if y is None else y.levels) ** p
     if mode == "dp":
-        value = _dp_max_sum(cost)
+        value = float(_dp_max_sum(cost))
     elif mode == "brute":
         if x.grid.n_segments > _BRUTE_MAX_SEGMENTS:
             raise ValueError(f"brute mode is limited to {_BRUTE_MAX_SEGMENTS} segments")
@@ -153,7 +204,7 @@ def holder_dist(x: GroupPath, y: GroupPath | None, alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     _check_shared_grid(x, y)
-    d = _pair_dist_table(x, y)
+    d = pair_dist_table(x.levels, None if y is None else y.levels)
     n = x.grid.n_nodes
     i_idx, j_idx = np.triu_indices(n, k=1)
     gaps = x.grid.times[j_idx] - x.grid.times[i_idx]
@@ -205,8 +256,8 @@ def rho_var_2d(
     if mode == "fullgrid":
         best = _grid_sum(r, nodes, rho)
     elif mode == "brute":
-        if n_seg > _BRUTE_MAX_2D:
-            raise ValueError(f"brute mode is limited to {_BRUTE_MAX_2D} segments")
+        if n_seg > BRUTE_MAX_2D:
+            raise ValueError(f"brute mode is limited to {BRUTE_MAX_2D} segments")
         best = max(
             _grid_sum(r, nodes[np.array(d.indices)], rho) for d in all_dissections(n_seg)
         )

@@ -323,6 +323,57 @@ def test_cli_config_error_exit_2(tmp_path):
     assert main(["pvar", "--config", str(bad), "--out", str(out)]) == 2
 
 
+BROWNIAN = {"kernel": {"kind": "brownian"}, "n": 8, "seed": 0}
+PVAR = dict(BROWNIAN, p=3.0, samples=2)
+KLCONV = dict(BROWNIAN, d=2, p=3.0, q=2, samples=2, m=[2])
+
+
+def assert_config_error(code, capsys, out):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        ("pvar", dict(PVAR, p=float("nan"))),
+        ("pvar", dict(PVAR, p=float("inf"))),
+        ("kl-converge", dict(KLCONV, q=float("inf"))),
+        ("kl-converge", dict(KLCONV, alpha=float("nan"))),
+        ("rhovar", dict(BROWNIAN, rho=float("nan"))),
+        ("rhovar", dict(BROWNIAN, rho=float("-inf"))),
+    ],
+)
+def test_cli_non_finite_number_exit_2(tmp_path, capsys, name, config):
+    # json.dumps writes NaN / Infinity, which json.load accepts.
+    code, out = run_cli(tmp_path, name, config)
+    assert_config_error(code, capsys, out)
+
+
+def test_cli_non_finite_table_exit_2(tmp_path, capsys):
+    times = uniform_grid(2).times
+    vals = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, np.nan], [0.0, np.nan, 1.0]])
+    table = tmp_path / "cov.csv"
+    np.savetxt(table, np.vstack([times[None, :], vals]), delimiter=",")
+    code, out = run_cli(tmp_path, "rhovar", dict(BROWNIAN, kernel={"kind": "table", "path": str(table)}))
+    assert_config_error(code, capsys, out)
+
+
+def test_cli_negative_seed_exit_2(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "pvar", PVAR, seed=-1)
+    assert_config_error(code, capsys, out)
+
+
+def test_cli_brute_search_too_large_exit_2(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "rhovar", dict(BROWNIAN, n=11, search="brute"))
+    assert_config_error(code, capsys, out)
+    code, out = run_cli(tmp_path, "rhovar", dict(BROWNIAN, n=10, search="brute"))
+    assert code == 0 and out.exists()
+
+
 def test_cli_data_error_exit_3(tmp_path):
     times = uniform_grid(2).times
     vals = np.array([[1.0, 0.0, 0.9], [0.0, 1.0, 0.0], [0.9, 0.0, -0.5]])

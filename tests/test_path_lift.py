@@ -227,3 +227,25 @@ def test_young_validation():
 def test_sample_path_validation():
     with pytest.raises(ValueError):
         SamplePath(uniform_grid(3), np.zeros((2, 3)))
+
+
+def test_lift_values_equals_iterated_segment_products(rng):
+    # The Chen cumulative sums reproduce the left-to-right product of segment
+    # exponentials node by node, for any leading batch axes.
+    from gaussrough.path_lift import _lift_values
+
+    n = 6
+    for d in (1, 2, 3):
+        for depth in (1, 2, 3):
+            values = np.cumsum(rng.standard_normal((2, 3, d, n + 1)), axis=-1) / np.sqrt(n)
+            levels = _lift_values(values, depth)
+            assert [lv.shape for lv in levels] == [(2, 3, n + 1) + (d,) * k for k in range(depth + 1)]
+            for b in np.ndindex(2, 3):
+                g = identity(d, depth)
+                for m in range(n + 1):
+                    if m:
+                        step = values[b][:, m] - values[b][:, m - 1]
+                        g = mul(g, exp(lie_from_vector(step, depth)))
+                    for k in range(depth + 1):
+                        err = np.max(np.abs(levels[k][b + (m,)] - g.levels[k]))
+                        assert err <= 1e-13, (d, depth, b, m, k, err)

@@ -1,20 +1,27 @@
 import numpy as np
 import pytest
 
+import gaussrough.variation_metrics as vm
 from gaussrough import (
     Dissection,
+    GroupPath,
     SamplePath,
     TimeGrid,
     all_dissections,
+    dist,
     holder_dist,
     holder_norm,
+    hom_norm,
     lift_pl,
     pvar_dist,
     pvar_norm,
     rect_increment,
     rho_var_2d,
+    signature_increment,
     uniform_grid,
 )
+from gaussrough.path_lift import _lift_values
+from gaussrough.variation_metrics import _dp_max_sum, pair_dist_table
 from conftest import random_path
 
 
@@ -228,3 +235,64 @@ def test_rho_var_validation():
     big = brownian_cov(16)
     with pytest.raises(ValueError):
         rho_var_2d(big, 1.0, mode="brute")
+
+
+def batch_lift(rng, batch, d, n, depth):
+    values = np.cumsum(rng.standard_normal(batch + (d, n + 1)), axis=-1) / np.sqrt(n)
+    return _lift_values(values, depth)
+
+
+def test_pair_dist_table_matches_public_dist(rng):
+    # Every entry equals the per-element distance of the two signature
+    # increments (general Neumann inverse, symmetrized norm).
+    n = 6
+    grid = uniform_grid(n)
+    for d in (1, 2, 3):
+        for depth in (1, 2, 3):
+            x = batch_lift(rng, (2, 2), d, n, depth)
+            y = batch_lift(rng, (2, 2), d, n, depth)
+            table = pair_dist_table(x, y)
+            norms = pair_dist_table(x)
+            assert table.shape == norms.shape == (2, 2, n + 1, n + 1)
+            for b in np.ndindex(2, 2):
+                gx = GroupPath(grid, tuple(lv[b] for lv in x))
+                gy = GroupPath(grid, tuple(lv[b] for lv in y))
+                for i in range(n + 1):
+                    for j in range(n + 1):
+                        if j <= i:
+                            assert table[b + (i, j)] == 0.0 and norms[b + (i, j)] == 0.0
+                            continue
+                        xi = signature_increment(gx, i, j)
+                        yi = signature_increment(gy, i, j)
+                        for got, expect in (
+                            (table[b + (i, j)], dist(xi, yi)),
+                            (norms[b + (i, j)], hom_norm(xi)),
+                        ):
+                            assert abs(got - expect) <= 1e-12 * expect, (d, depth, b, i, j)
+
+
+def test_pair_dist_table_self_distance_is_exactly_zero(rng):
+    for d in (1, 2, 3):
+        for depth in (1, 2, 3):
+            x = batch_lift(rng, (3,), d, 7, depth)
+            assert np.all(pair_dist_table(x, x) == 0.0)
+
+
+def test_pair_dist_table_chunks_bit_identical(rng, monkeypatch):
+    n, d, depth = 5, 2, 3
+    x = batch_lift(rng, (3, 2), d, n, depth)
+    y = batch_lift(rng, (3, 2), d, n, depth)
+    whole = [pair_dist_table(x, y), pair_dist_table(x)]
+    pairs = n * (n + 1) // 2
+    for per_chunk in (1, 4):
+        monkeypatch.setattr(vm, "_PAIR_CHUNK_BYTES", 8 * pairs * d**depth * per_chunk)
+        assert np.array_equal(pair_dist_table(x, y), whole[0])
+        assert np.array_equal(pair_dist_table(x), whole[1])
+
+
+def test_dp_max_sum_batched_equals_rows(rng):
+    cost = rng.uniform(size=(3, 2, 9, 9))
+    got = _dp_max_sum(cost)
+    assert got.shape == (3, 2)
+    for b in np.ndindex(3, 2):
+        assert got[b] == _dp_max_sum(cost[b])
