@@ -31,7 +31,6 @@ from .path_lift import (
     GroupPath,
     SamplePath,
     TimeGrid,
-    lift_cameron_martin,
     lift_pl,
     signature_increment,
     uniform_grid,

@@ -9,79 +9,40 @@ JSON, anything else CSV.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
-import numpy as np
-
 from .experiments import (
+    CSV_COLUMNS,
+    LIFT_COLUMNS,
+    PATH_COLUMNS,
     ConfigError,
-    ExperimentConfig,
     emit,
+    lift_rows,
     load_config,
     run_2var_bound,
     run_convergence,
-    run_lift,
     run_martingale_checks,
     run_pvar,
     run_rhovar,
-    run_simulate,
     run_translation_check,
     run_uniform_modulus,
+    simulate_rows,
 )
 from .gaussian_process import DataError
-from .path_lift import uniform_grid
 
-_RECORD_RUNNERS = {
-    "kl-converge": ("convergence", run_convergence),
-    "uniform-modulus": ("uniform-modulus", run_uniform_modulus),
-    "martingale-check": ("martingale", run_martingale_checks),
-    "twovar-bound": ("twovar-bound", run_2var_bound),
-    "translate-check": ("translation", run_translation_check),
-    "pvar": ("pvar", run_pvar),
-    "rhovar": ("rhovar", run_rhovar),
+# subcommand -> (experiment, config -> rows, output columns)
+_SUBCOMMANDS = {
+    "simulate": ("simulate", simulate_rows, PATH_COLUMNS),
+    "lift": ("lift", lift_rows, LIFT_COLUMNS),
+    "kl-converge": ("convergence", run_convergence, CSV_COLUMNS),
+    "uniform-modulus": ("uniform-modulus", run_uniform_modulus, CSV_COLUMNS),
+    "martingale-check": ("martingale", run_martingale_checks, CSV_COLUMNS),
+    "twovar-bound": ("twovar-bound", run_2var_bound, CSV_COLUMNS),
+    "translate-check": ("translation", run_translation_check, CSV_COLUMNS),
+    "pvar": ("pvar", run_pvar, CSV_COLUMNS),
+    "rhovar": ("rhovar", run_rhovar, CSV_COLUMNS),
 }
-
-
-def _write_rows(path: str, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
-
-
-def _emit_paths(values: np.ndarray, n: int, out: str) -> None:
-    times = uniform_grid(n).times
-    rows = (
-        [s, c, repr(float(times[t])), repr(float(values[s, c, t]))]
-        for s in range(values.shape[0])
-        for c in range(values.shape[1])
-        for t in range(values.shape[2])
-    )
-    _write_rows(out, ["sample", "component", "time", "value"], rows)
-
-
-def _emit_logs(logs: list[np.ndarray], n: int, out: str) -> None:
-    times = uniform_grid(n).times
-
-    def rows():
-        for k, lv in enumerate(logs, start=1):
-            samples, nodes = lv.shape[0], lv.shape[1]
-            flat = lv.reshape(samples, nodes, -1)
-            d = lv.shape[2]
-            idx = [np.unravel_index(c, (d,) * k) for c in range(flat.shape[2])]
-            names = ["L%d[%s]" % (k, ",".join(map(str, ix))) for ix in idx]
-            for s in range(samples):
-                for t in range(nodes):
-                    for c, name in enumerate(names):
-                        yield [s, repr(float(times[t])), name, repr(float(flat[s, t, c]))]
-
-    _write_rows(out, ["sample", "time", "coordinate", "value"], rows())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -90,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Lifted-Gaussian-path experiments; see the README for config schemas.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "lift", *_RECORD_RUNNERS):
+    for name in _SUBCOMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", required=True, help="output path (.json for JSON, else CSV)")
@@ -106,18 +67,10 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}") from err
 
-        if args.command == "simulate":
-            cfg = load_config("simulate", data, args.seed)
-            _emit_paths(run_simulate(cfg), cfg.n, args.out)
-        elif args.command == "lift":
-            cfg = load_config("lift", data, args.seed)
-            _emit_logs(run_lift(cfg), cfg.n, args.out)
-        else:
-            experiment, runner = _RECORD_RUNNERS[args.command]
-            cfg = load_config(experiment, data, args.seed)
-            records = runner(cfg)
-            fmt = "json" if args.out.endswith(".json") else "csv"
-            emit(records, fmt, args.out)
+        experiment, rows, columns = _SUBCOMMANDS[args.command]
+        cfg = load_config(experiment, data, args.seed)
+        fmt = "json" if args.out.endswith(".json") else "csv"
+        emit(rows(cfg), fmt, args.out, columns)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Experiment runners over lifted Gaussian paths, with CSV/JSON emission.
 
-Each runner consumes a validated ExperimentConfig and returns ResultRecords;
-``emit`` writes them with a fixed column set.  All randomness flows through
-the config seed (per-draw substreams, see gaussian_process), so a given
-config produces byte-identical output files.
+Each runner consumes a validated ExperimentConfig and returns ResultRecords,
+which are rows; ``simulate_rows`` and ``lift_rows`` turn sampled paths into
+rows, and ``emit`` writes any rows under their columns.  All randomness flows
+through the config seed (per-draw substreams, see gaussian_process), so a
+given config produces byte-identical output files.
 
 Column conventions: ``m`` carries the experiment's running index (kept-mode
 count for KL convergence, coarse grid size for dyadic refinement, interval
@@ -20,6 +21,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +49,8 @@ __all__ = [
     "ExperimentConfig",
     "ResultRecord",
     "CSV_COLUMNS",
+    "PATH_COLUMNS",
+    "LIFT_COLUMNS",
     "load_config",
     "run_convergence",
     "run_uniform_modulus",
@@ -55,6 +59,8 @@ __all__ = [
     "run_translation_check",
     "run_simulate",
     "run_lift",
+    "simulate_rows",
+    "lift_rows",
     "run_pvar",
     "run_rhovar",
     "emit",
@@ -66,36 +72,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (bad keys, values, or regime)."""
 
 
-CSV_COLUMNS = (
-    "experiment",
-    "kernel",
-    "hurst",
-    "n",
-    "m",
-    "p",
-    "q",
-    "samples",
-    "statistic",
-    "value",
-    "stderr",
-    "seed",
+_EXPERIMENTS = (
+    "convergence", "uniform-modulus", "martingale", "twovar-bound", "translation",
+    "simulate", "lift", "pvar", "rhovar",
 )
-
-_KERNEL_KEYS = {"kind", "hurst", "path"}
-
-# Allowed config keys per experiment; "kernel", "n", "seed" are universal.
-_EXPERIMENT_KEYS = {
-    "convergence": {"d", "p", "q", "alpha", "samples", "m", "mode", "index_policy", "rho"},
-    "uniform-modulus": {"d", "samples", "sets", "lengths"},
-    "martingale": {"d", "samples", "index_size", "pairs"},
-    "twovar-bound": {"sets"},
-    "translation": {"samples"},
-    "simulate": {"d", "samples"},
-    "lift": {"d", "samples", "depth"},
-    "pvar": {"d", "p", "samples", "rho"},
-    "rhovar": {"rho", "search"},
-}
-
 _LIFTING = {"convergence", "uniform-modulus", "martingale", "pvar", "lift"}
 
 
@@ -113,7 +93,7 @@ class ExperimentConfig:
     m: tuple[int, ...] = ()
     mode: str = "kl"
     index_policy: str = "prefix"
-    sets: int = 0
+    sets: int = 50
     lengths: tuple[int, ...] = ()
     index_size: int = 0
     pairs: tuple[tuple[int, int], ...] = ()
@@ -137,123 +117,133 @@ class ExperimentConfig:
         return 1.0
 
 
-_KERNEL_KEYS_BY_KIND = {
-    "brownian": {"kind"},
-    "fbm": {"kind", "hurst"},
-    "table": {"kind", "path"},
+# Value parsers: parse(key, value) returns the field value or raises ConfigError.
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int(lo: int, hi: int | None = None):
+    def parse(key, v):
+        if not _is_int(v) or v < lo or (hi is not None and v > hi):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ConfigError(f"{key!r} must be an integer {bound}")
+        return v
+
+    return parse
+
+
+def _number(key, v) -> float:
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        raise ConfigError(f"{key!r} must be a finite number")
+    return float(v)
+
+
+def _choice(*options: str):
+    def parse(key, v):
+        if not isinstance(v, str) or v not in options:
+            raise ConfigError(f"{key!r} must be one of {', '.join(options)}")
+        return v
+
+    return parse
+
+
+def _text(key, v) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"{key!r} must be a string")
+    return v
+
+
+def _positive_ints(key, v) -> tuple[int, ...]:
+    if not isinstance(v, list) or not all(_is_int(e) and e >= 1 for e in v):
+        raise ConfigError(f"{key!r} must be a list of positive integers")
+    return tuple(v)
+
+
+def _node_pairs(key, v) -> tuple[tuple[int, int], ...]:
+    ok = isinstance(v, list) and all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) and 0 <= e[0] <= e[1]
+        for e in v
+    )
+    if not ok:
+        raise ConfigError(f"{key!r} must be a list of [s, t] node pairs with 0 <= s <= t")
+    return tuple((s, t) for s, t in v)
+
+
+def _table_kernel(path: str) -> CovKernel:
+    raw = np.loadtxt(path, delimiter=",")
+    return CovKernel.from_table(raw[0], raw[1:])
+
+
+# Kernel kind -> (constructor, its parameters in call order with their parsers).
+_KERNELS = {
+    "brownian": (CovKernel.brownian, {}),
+    "fbm": (CovKernel.fbm, {"hurst": _number}),
+    "table": (_table_kernel, {"path": _text}),
 }
 
 
-def _build_kernel(cfg) -> CovKernel:
-    if not isinstance(cfg, dict):
-        raise ConfigError("kernel must be an object with a 'kind'")
-    kind = cfg.get("kind")
-    allowed = _KERNEL_KEYS_BY_KIND.get(kind, _KERNEL_KEYS)
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown kernel keys for {kind!r}: {sorted(unknown)}")
-    try:
-        if kind == "brownian":
-            return CovKernel.brownian()
-        if kind == "fbm":
-            if "hurst" not in cfg:
-                raise ConfigError("fbm kernel requires 'hurst'")
-            return CovKernel.fbm(float(cfg["hurst"]))
-        if kind == "table":
-            if "path" not in cfg:
-                raise ConfigError("table kernel requires 'path'")
-            raw = np.loadtxt(cfg["path"], delimiter=",")
-            return CovKernel.from_table(raw[0], raw[1:])
+def _kernel(key, v) -> CovKernel:
+    if not isinstance(v, dict):
+        raise ConfigError(f"{key!r} must be an object with a 'kind'")
+    kind = v.get("kind")
+    if not isinstance(kind, str) or kind not in _KERNELS:
         raise ConfigError(f"unknown kernel kind {kind!r}")
-    except (ValueError, OSError) as err:
-        if isinstance(err, ConfigError):
-            raise
+    make, params = _KERNELS[kind]
+    if set(v) != {"kind", *params}:
+        raise ConfigError(f"{kind} kernel takes exactly the keys {sorted({'kind', *params})}")
+    args = [parse(name, v[name]) for name, parse in params.items()]
+    try:
+        return make(*args)
+    except (ValueError, OSError, IndexError) as err:  # IndexError: a table of one value or none
         raise ConfigError(f"bad kernel: {err}") from err
 
 
-def _positive_int(data, key, default=None, minimum=1):
-    if key not in data:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    v = data[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise ConfigError(f"{key!r} must be an integer >= {minimum}")
-    return v
+_SAMPLED = ("convergence", "uniform-modulus", "martingale", "simulate", "lift", "pvar")
+
+# Config key -> (parser, experiments that accept it).  "kernel", "n" and
+# "seed" are required; every other key defaults to its ExperimentConfig field.
+_SCHEMA = {
+    "kernel": (_kernel, _EXPERIMENTS),
+    "n": (_int(1), _EXPERIMENTS),
+    "seed": (_int(0), _EXPERIMENTS),
+    "d": (_int(1), _SAMPLED),
+    "samples": (_int(0), _SAMPLED + ("translation",)),
+    "p": (_number, ("convergence", "pvar")),
+    "q": (_number, ("convergence",)),
+    "alpha": (_number, ("convergence",)),
+    "rho": (_number, ("convergence", "pvar", "rhovar")),
+    "m": (_positive_ints, ("convergence",)),
+    "mode": (_choice("kl", "dyadic"), ("convergence",)),
+    "index_policy": (_choice("prefix", "random"), ("convergence",)),
+    "sets": (_int(1), ("uniform-modulus", "twovar-bound")),
+    "lengths": (_positive_ints, ("uniform-modulus",)),
+    "index_size": (_int(1), ("martingale",)),
+    "pairs": (_node_pairs, ("martingale",)),
+    "depth": (_int(1, 3), ("lift",)),
+    "search": (_choice("fullgrid", "hillclimb", "brute"), ("rhovar",)),
+}
 
 
 def load_config(experiment: str, data: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Build and validate a config for one experiment from parsed JSON."""
-    if experiment not in _EXPERIMENT_KEYS:
+    if experiment not in _EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    allowed = _EXPERIMENT_KEYS[experiment] | {"kernel", "n", "seed"}
-    unknown = set(data) - allowed
+    unknown = [k for k in data if experiment not in _SCHEMA.get(k, (None, ()))[1]]
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
-    if "kernel" not in data:
-        raise ConfigError("missing required key 'kernel'")
-    kernel = _build_kernel(data["kernel"])
-    n = _positive_int(data, "n", minimum=1)
-    seed = _positive_int(data, "seed", minimum=0) if seed_override is None else seed_override
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
-
-    kw: dict = {}
-    if "d" in allowed:
-        kw["d"] = _positive_int(data, "d", default=1)
-    if "samples" in allowed:
-        kw["samples"] = _positive_int(data, "samples", default=0, minimum=0)
-    for key in ("p", "q", "alpha", "rho"):
-        if key in allowed and key in data:
-            v = data[key]
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ConfigError(f"{key!r} must be a finite number")
-            kw[key] = float(v)
-    if "m" in allowed and "m" in data:
-        m = data["m"]
-        if not isinstance(m, list) or not m or any(not isinstance(v, int) or v < 1 for v in m):
-            raise ConfigError("'m' must be a non-empty list of positive integers")
-        kw["m"] = tuple(m)
-    if "mode" in allowed and "mode" in data:
-        if data["mode"] not in ("kl", "dyadic"):
-            raise ConfigError("mode must be 'kl' or 'dyadic'")
-        kw["mode"] = data["mode"]
-    if "index_policy" in allowed and "index_policy" in data:
-        if data["index_policy"] not in ("prefix", "random"):
-            raise ConfigError("index_policy must be 'prefix' or 'random'")
-        kw["index_policy"] = data["index_policy"]
-    if "sets" in allowed:
-        kw["sets"] = _positive_int(data, "sets", default=50)
-    if "lengths" in allowed and "lengths" in data:
-        ls = data["lengths"]
-        if not isinstance(ls, list) or any(not isinstance(v, int) or not 0 < v <= n for v in ls):
-            raise ConfigError("'lengths' must be node counts within the grid")
-        kw["lengths"] = tuple(ls)
-    if "index_size" in allowed:
-        kw["index_size"] = _positive_int(data, "index_size", default=min(4, n))
-    if "pairs" in allowed and "pairs" in data:
-        ps = data["pairs"]
-        ok = isinstance(ps, list) and all(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)
-            and 0 <= e[0] <= e[1] <= n
-            for e in ps
-        )
-        if not ok:
-            raise ConfigError("'pairs' must be [s, t] node pairs within the grid")
-        kw["pairs"] = tuple((e[0], e[1]) for e in ps)
-    if "depth" in allowed and "depth" in data:
-        v = data["depth"]
-        if v not in (1, 2, 3):
-            raise ConfigError("depth must be 1, 2 or 3")
-        kw["depth"] = v
-    if "search" in allowed and "search" in data:
-        if data["search"] not in ("fullgrid", "hillclimb", "brute"):
-            raise ConfigError("search must be fullgrid, hillclimb or brute")
-        kw["search"] = data["search"]
-
-    cfg = ExperimentConfig(experiment=experiment, kernel=kernel, n=n, seed=seed, **kw)
+    if seed_override is not None:
+        data = dict(data, seed=seed_override)
+    for key in ("kernel", "n", "seed"):
+        if key not in data:
+            raise ConfigError(f"missing required key {key!r}")
+    kw = {key: parse(key, data[key]) for key, (parse, _) in _SCHEMA.items() if key in data}
+    if experiment == "martingale":
+        kw.setdefault("index_size", min(4, kw["n"]))
+    cfg = ExperimentConfig(experiment=experiment, **kw)
     _validate_regime(cfg)
     return cfg
 
@@ -272,6 +262,10 @@ def _validate_regime(cfg: ExperimentConfig) -> None:
         raise ConfigError("q must be >= 1")
     if cfg.alpha is not None and not 0.0 <= cfg.alpha <= 1.0:
         raise ConfigError("alpha must lie in [0, 1]")
+    if any(v > cfg.n for v in cfg.lengths):
+        raise ConfigError("'lengths' must be node counts within the grid")
+    if any(t > cfg.n for _, t in cfg.pairs):
+        raise ConfigError("'pairs' must be [s, t] node pairs within the grid")
     if cfg.experiment == "convergence":
         if cfg.p is None or cfg.q is None:
             raise ConfigError("convergence requires p and q")
@@ -309,8 +303,7 @@ def _validate_regime(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"search 'brute' is limited to n <= {BRUTE_MAX_2D}")
 
 
-@dataclass(frozen=True)
-class ResultRecord:
+class ResultRecord(NamedTuple):
     experiment: str
     kernel: str
     hurst: float | None
@@ -325,30 +318,30 @@ class ResultRecord:
     seed: int | None
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+CSV_COLUMNS = ResultRecord._fields
+PATH_COLUMNS = ("sample", "component", "time", "value")
+LIFT_COLUMNS = ("sample", "time", "coordinate", "value")
 
 
-def emit(records: list[ResultRecord], fmt: str, path: str) -> None:
-    """Write records as 'csv' or 'json'; CSV floats use repr round-tripping."""
+def emit(rows, fmt: str, path: str, columns: tuple[str, ...] = CSV_COLUMNS) -> None:
+    """Write rows (sequences in ``columns`` order) as 'csv' or 'json'.
+
+    CSV leaves None empty and writes floats with ``repr``, so it round-trips
+    exactly; JSON is a list of objects keyed by the column names.
+    """
+    # Rows may be generated lazily; buffering means a failing runner leaves no file.
+    buf = io.StringIO()
     if fmt == "csv":
-        buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([_fmt(getattr(r, c)) for c in CSV_COLUMNS])
-        payload = buf.getvalue()
+        writer.writerow(columns)
+        writer.writerows(rows)
     elif fmt == "json":
-        rows = [{c: getattr(r, c) for c in CSV_COLUMNS} for r in records]
-        payload = json.dumps(rows, indent=2) + "\n"
+        json.dump([dict(zip(columns, row)) for row in rows], buf, indent=2)
+        buf.write("\n")
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     with open(path, "w") as fh:
-        fh.write(payload)
+        fh.write(buf.getvalue())
 
 
 def read_records(path: str) -> list[ResultRecord]:
@@ -379,6 +372,8 @@ def read_records(path: str) -> list[ResultRecord]:
 
 
 def _record(cfg: ExperimentConfig, statistic: str, value: float, stderr: float | None, m: int | None):
+    if not math.isfinite(value) or (stderr is not None and not math.isfinite(stderr)):
+        raise DataError(f"{statistic} is not finite (value {value}, stderr {stderr})")
     return ResultRecord(
         experiment=cfg.experiment,
         kernel=cfg.kernel_name,
@@ -444,10 +439,13 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
 
     records = []
     for a, m in zip(_mode_sets(cfg, basis.rank), cfg.m):
-        sel = basis.phi[a.as_array()]
-        proj = np.einsum("sct,mt,mu->scu", values, sel, sel, optimize=True)
+        # Projecting onto the dropped modes keeps proj == values exactly at
+        # m = rank, where every distance to the full lift is then exactly 0.
+        drop = basis.phi[a.complement(basis.rank).as_array()]
+        tail = np.einsum("sct,mt,mu->scu", values, drop, drop, optimize=True)
+        proj = values - tail
         pvar, hold = pvar_and_holder(pair_dist_table(_lift_values(proj, 3), full_levels))
-        tail_pvar, tail_hold = pvar_and_holder(pair_dist_table(_lift_values(values - proj, 3)))
+        tail_pvar, tail_hold = pvar_and_holder(pair_dist_table(_lift_values(tail, 3)))
         for name, data in (
             ("kl_pvar_qmean", pvar),
             ("kl_tail_pvar_qmean", tail_pvar),
@@ -526,7 +524,7 @@ def run_uniform_modulus(cfg: ExperimentConfig) -> list[ResultRecord]:
         records.append(_record(cfg, "modulus_sq_mean", float(means[top]), se, l))
         log_x.append(math.log(l / cfg.n))
         log_y.append(math.log(means[top]))
-    if len(lengths) >= 2:
+    if len(set(lengths)) >= 2:
         slope, se = _ols_slope(np.array(log_x), np.array(log_y))
         records.append(_record(cfg, "modulus_slope", slope, se, None))
     return records
@@ -660,6 +658,27 @@ def run_lift(cfg: ExperimentConfig) -> list[np.ndarray]:
     return _log_levels(levels)[1:]
 
 
+def simulate_rows(cfg: ExperimentConfig):
+    """``simulate`` output as (sample, component, time, value) rows."""
+    times = uniform_grid(cfg.n).times.tolist()
+    for s, sample in enumerate(run_simulate(cfg)):
+        for c, path in enumerate(sample.tolist()):
+            for t, v in zip(times, path):
+                yield s, c, t, v
+
+
+def lift_rows(cfg: ExperimentConfig):
+    """``lift`` output as (sample, time, coordinate, value) rows, degree by
+    degree, then sample, node and coordinate; coordinates read ``L2[0,1]``."""
+    times = uniform_grid(cfg.n).times.tolist()
+    for k, logs in enumerate(run_lift(cfg), start=1):
+        names = ["L%d[%s]" % (k, ",".join(map(str, ix))) for ix in np.ndindex(logs.shape[2:])]
+        for s, sample in enumerate(logs):
+            for t, coords in zip(times, sample.reshape(len(times), -1).tolist()):
+                for name, v in zip(names, coords):
+                    yield s, t, name, v
+
+
 def run_pvar(cfg: ExperimentConfig) -> list[ResultRecord]:
     """p-variation norm of each sampled lift (per-sample rows)."""
     grid = uniform_grid(cfg.n)
@@ -675,18 +694,4 @@ def run_rhovar(cfg: ExperimentConfig) -> list[ResultRecord]:
     r = cov_matrix(cfg.kernel, grid)
     rho = cfg.rho if cfg.rho is not None else cfg.effective_rho()
     val = rho_var_2d(r.entries, rho, cfg.search, seed=cfg.seed)
-    rec = ResultRecord(
-        experiment=cfg.experiment,
-        kernel=cfg.kernel_name,
-        hurst=cfg.hurst,
-        n=cfg.n,
-        m=None,
-        p=None,
-        q=None,
-        samples=None,
-        statistic=f"rho_var_2d_{cfg.search}",
-        value=val,
-        stderr=None,
-        seed=cfg.seed,
-    )
-    return [rec]
+    return [_record(cfg, f"rho_var_2d_{cfg.search}", val, None, None)]

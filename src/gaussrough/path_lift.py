@@ -32,7 +32,6 @@ __all__ = [
     "SamplePath",
     "GroupPath",
     "lift_pl",
-    "lift_cameron_martin",
     "signature_increment",
     "young_integral_quadratic",
     "uniform_grid",
@@ -191,15 +190,6 @@ def lift_pl(path: SamplePath, depth: int = MAX_DEPTH) -> GroupPath:
     """Signature lift of a piecewise-linear path, node by node."""
     _check_depth(depth)
     return GroupPath(path.grid, tuple(_lift_values(path.values, depth)))
-
-
-def lift_cameron_martin(path: SamplePath, depth: int = MAX_DEPTH) -> GroupPath:
-    """Lift of a grid function from the covariance's reproducing space.
-
-    On a grid such functions are themselves piecewise linear, so this is the
-    same computation as ``lift_pl``; the alias marks intent at call sites.
-    """
-    return lift_pl(path, depth)
 
 
 def signature_increment(gp: GroupPath, a: int, b: int) -> GroupElement:

@@ -1,7 +1,16 @@
+import contextlib
+import csv
+import io
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussrough import (
     ConfigError,
@@ -20,8 +29,8 @@ from gaussrough import (
     run_uniform_modulus,
     uniform_grid,
 )
-from gaussrough.cli import main
-from gaussrough.experiments import _child_seed, _q_mean
+from gaussrough.cli import _SUBCOMMANDS, main
+from gaussrough.experiments import _SCHEMA, _child_seed, _q_mean
 
 
 def base(experiment, **kw):
@@ -239,6 +248,15 @@ def test_run_convergence_kl_statistics_present():
         assert r.stderr is not None and r.stderr >= 0.0
 
 
+def test_run_convergence_exact_zero_at_full_rank():
+    # Keeping every mode reproduces the sampled path bit for bit, so all four
+    # distances vanish exactly rather than at the cube root of rounding.
+    cfg = base("convergence", p=2.5, q=2.0, samples=4, m=[64], d=3, n=64, seed=3)
+    recs = run_convergence(cfg)
+    assert len(recs) == 4
+    assert all(r.value == 0.0 and r.stderr == 0.0 for r in recs)
+
+
 def test_run_convergence_dyadic_rows():
     cfg = base(
         "convergence", p=2.5, q=2.0, samples=8, m=[2, 4], mode="dyadic", n=8
@@ -345,10 +363,19 @@ def assert_config_error(code, capsys, out):
         ("kl-converge", dict(KLCONV, alpha=float("nan"))),
         ("rhovar", dict(BROWNIAN, rho=float("nan"))),
         ("rhovar", dict(BROWNIAN, rho=float("-inf"))),
+        ("lift", dict(BROWNIAN, samples=1, depth=2.0)),
+        ("rhovar", dict(BROWNIAN, kernel={"kind": ["x"]})),
+        ("kl-converge", dict(KLCONV, m=[True])),
+        ("uniform-modulus", dict(BROWNIAN, samples=2, lengths=[2, True])),
+        ("martingale-check", dict(BROWNIAN, samples=2, pairs=[[0, True]])),
+        ("lift", dict(BROWNIAN, samples=1, depth=True)),
+        ("pvar", dict(PVAR, kernel={"kind": "fbm", "hurst": "0.4"})),
     ],
 )
 def test_cli_non_finite_number_exit_2(tmp_path, capsys, name, config):
-    # json.dumps writes NaN / Infinity, which json.load accepts.
+    # json.dumps writes NaN / Infinity, which json.load accepts.  The later rows
+    # are malformed values of other kinds: a float or bool where an integer
+    # belongs, an unhashable kernel kind and a numeric string.
     code, out = run_cli(tmp_path, name, config)
     assert_config_error(code, capsys, out)
 
@@ -358,6 +385,13 @@ def test_cli_non_finite_table_exit_2(tmp_path, capsys):
     vals = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, np.nan], [0.0, np.nan, 1.0]])
     table = tmp_path / "cov.csv"
     np.savetxt(table, np.vstack([times[None, :], vals]), delimiter=",")
+    code, out = run_cli(tmp_path, "rhovar", dict(BROWNIAN, kernel={"kind": "table", "path": str(table)}))
+    assert_config_error(code, capsys, out)
+
+
+def test_cli_one_value_table_exit_2(tmp_path, capsys):
+    table = tmp_path / "cov.csv"
+    table.write_text("0\n")
     code, out = run_cli(tmp_path, "rhovar", dict(BROWNIAN, kernel={"kind": "table", "path": str(table)}))
     assert_config_error(code, capsys, out)
 
@@ -387,6 +421,14 @@ def test_cli_data_error_exit_3(tmp_path):
     assert code == 3
 
 
+def test_cli_non_finite_statistic_exit_3(tmp_path, capsys):
+    # p = 1e300 passes validation, but the distances to the power p overflow.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out = run_cli(tmp_path, "pvar", dict(PVAR, p=1e300))
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err.startswith("data error: pvar_norm is not finite")
+
+
 def test_cli_simulate_format(tmp_path):
     code, out = run_cli(
         tmp_path,
@@ -410,6 +452,22 @@ def test_cli_lift_format(tmp_path):
     assert lines[0] == "sample,time,coordinate,value"
     # Depth 2 in two dimensions: 2 + 4 coordinates per node.
     assert len(lines) == 1 + (2 + 4) * 5
+
+
+@pytest.mark.parametrize(
+    "name, columns",
+    [("simulate", ["sample", "component", "time", "value"]),
+     ("lift", ["sample", "time", "coordinate", "value"])],
+)
+def test_cli_path_json_output(tmp_path, name, columns):
+    cfg = dict(BROWNIAN, n=4, d=2, samples=2)
+    code, csv_out = run_cli(tmp_path, name, cfg, outname="out.csv")
+    assert code == 0
+    code, json_out = run_cli(tmp_path, name, cfg, outname="out.json")
+    assert code == 0
+    rows = json.loads(json_out.read_text())
+    assert len(rows) == len(csv_out.read_text().splitlines()) - 1
+    assert all(list(row) == columns for row in rows)
 
 
 def test_cli_seed_override_changes_output(tmp_path):
@@ -447,3 +505,109 @@ def test_dyadic_decay_committed_factor():
     for lo, hi in zip(recs[:-1], recs[1:]):
         slack = 2.0 * float(np.hypot(lo.stderr, factor * hi.stderr))
         assert factor * hi.value <= lo.value + slack
+
+
+def test_readme_key_table_matches_schema():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            table[cells[0].strip("`")] = set(re.findall(r"`([a-z_]+)`", cells[1]))
+    universal = {"kernel", "n", "seed"}
+    schema = {
+        sub: {key for key, (_, exps) in _SCHEMA.items() if experiment in exps} - universal
+        for sub, (experiment, _, _) in _SUBCOMMANDS.items()
+    }
+    assert table == schema
+
+
+# Valid values for every schema key except the universal ones, with n <= 8.
+_GOOD = {
+    "d": st.integers(1, 3),
+    "samples": st.one_of(st.integers(2, 3), st.integers(0, 1)),
+    "p": st.one_of(st.floats(4.5, 12.0), st.floats(1.0, 4.5)),
+    "q": st.floats(1.0, 4.0),
+    "alpha": st.floats(0.0, 1.0),
+    "rho": st.floats(1.0, 2.0),
+    "m": st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=3),
+    "mode": st.sampled_from(["kl", "dyadic"]),
+    "index_policy": st.sampled_from(["prefix", "random"]),
+    "sets": st.integers(1, 5),
+    "lengths": st.lists(st.integers(1, 8), max_size=3),
+    "index_size": st.integers(1, 8),
+    "pairs": st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 8)).map(sorted), max_size=3
+    ),
+    "depth": st.integers(1, 3),
+    "search": st.sampled_from(["fullgrid", "hillclimb", "brute"]),
+}
+# Wrong types, non-finite and out-of-range numbers, for any key.
+_BAD = st.one_of(
+    st.integers(-2, 3),
+    st.floats(-4.0, 12.0),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300, -0.0]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["kl", "brute", "0.4", ""]),
+    st.lists(st.one_of(st.integers(-1, 9), st.booleans(), st.floats(0, 8)), max_size=3),
+    st.lists(st.lists(st.integers(-1, 9), max_size=3), max_size=3),
+    st.sampled_from([
+        {"kind": "fbm"},
+        {"kind": ["x"]},
+        {"kind": "made-up"},
+        {"kind": "brownian", "hurst": 0.3},
+        {"kind": "fbm", "hurst": "0.4"},
+        {"kind": "fbm", "hurst": True},
+        {"kind": "table", "path": 0},
+    ]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes(data):
+    sub = data.draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    experiment = _SUBCOMMANDS[sub][0]
+    config = {
+        "kernel": data.draw(st.one_of(
+            st.just({"kind": "brownian"}),
+            st.one_of(st.floats(0.3, 0.95), st.floats(0.05, 0.3)).map(
+                lambda h: {"kind": "fbm", "hurst": h}),
+        )),
+        "n": data.draw(st.integers(1, 8)),
+        "seed": data.draw(st.integers(0, 2**32)),
+    }
+    keys = [key for key, (_, exps) in _SCHEMA.items() if key in _GOOD and experiment in exps]
+    omit = data.draw(st.sets(st.sampled_from(keys), max_size=2))
+    config.update({key: data.draw(_GOOD[key]) for key in keys if key not in omit})
+    # Half the configs get up to two wrong values or unknown keys.
+    config.update(data.draw(st.one_of(
+        st.just({}),
+        st.dictionaries(st.sampled_from(sorted(_SCHEMA) + ["bogus"]), _BAD, min_size=1, max_size=2),
+    )))
+    ext = data.draw(st.sampled_from([".csv", ".json"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / ("out" + ext)
+        cfg_path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([sub, "--config", str(cfg_path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and "Traceback" not in lines[0]
+            assert lines[0].startswith("config error: " if code == 2 else "data error: ")
+            return
+        text = out.read_text()
+    if ext == ".json":
+        rows = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON output"))
+        cells = [v for row in rows for v in row.values()]
+    else:
+        cells = [c for row in csv.reader(io.StringIO(text)) for c in row]
+    for cell in cells:
+        try:
+            value = float(cell)
+        except (TypeError, ValueError):
+            continue
+        assert math.isfinite(value), (sub, config, cell)

@@ -8,7 +8,6 @@ from gaussrough import (
     dilate,
     identity,
     lie_from_vector,
-    lift_cameron_martin,
     lift_pl,
     log,
     max_abs_diff,
@@ -149,13 +148,6 @@ def test_group_path_accessors(rng):
     for k in range(gp.depth + 1):
         assert np.array_equal(rebuilt.levels[k][2], gp.levels[k][2])
     assert gp.dim == 2 and gp.depth == 3
-
-
-def test_lift_cameron_martin_is_alias(rng):
-    path = random_path(rng, 2, 6)
-    a, b = lift_cameron_martin(path), lift_pl(path)
-    for i in range(7):
-        assert_elements_close(a.point(i), b.point(i), 0.0)
 
 
 def test_young_constant_integrand():
