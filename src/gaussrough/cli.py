@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .experiments import (
     CSV_COLUMNS,
     LIFT_COLUMNS,
@@ -70,7 +72,10 @@ def main(argv: list[str] | None = None) -> int:
         experiment, rows, columns = _SUBCOMMANDS[args.command]
         cfg = load_config(experiment, data, args.seed)
         fmt = "json" if args.out.endswith(".json") else "csv"
-        emit(rows(cfg), fmt, args.out, columns)
+        # Non-finite results become data errors (exit 3) where they are
+        # produced, so numpy's floating-point warnings would only add lines.
+        with np.errstate(all="ignore"):
+            emit(rows(cfg), fmt, args.out, columns)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

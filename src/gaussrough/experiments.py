@@ -661,7 +661,10 @@ def run_lift(cfg: ExperimentConfig) -> list[np.ndarray]:
 def simulate_rows(cfg: ExperimentConfig):
     """``simulate`` output as (sample, component, time, value) rows."""
     times = uniform_grid(cfg.n).times.tolist()
-    for s, sample in enumerate(run_simulate(cfg)):
+    values = run_simulate(cfg)
+    if not np.isfinite(values).all():
+        raise DataError("sampled path values are not finite")
+    for s, sample in enumerate(values):
         for c, path in enumerate(sample.tolist()):
             for t, v in zip(times, path):
                 yield s, c, t, v
@@ -671,7 +674,10 @@ def lift_rows(cfg: ExperimentConfig):
     """``lift`` output as (sample, time, coordinate, value) rows, degree by
     degree, then sample, node and coordinate; coordinates read ``L2[0,1]``."""
     times = uniform_grid(cfg.n).times.tolist()
-    for k, logs in enumerate(run_lift(cfg), start=1):
+    lifts = run_lift(cfg)
+    if not all(np.isfinite(logs).all() for logs in lifts):
+        raise DataError("lifted log coordinates are not finite")
+    for k, logs in enumerate(lifts, start=1):
         names = ["L%d[%s]" % (k, ",".join(map(str, ix))) for ix in np.ndindex(logs.shape[2:])]
         for s, sample in enumerate(logs):
             for t, coords in zip(times, sample.reshape(len(times), -1).tolist()):

@@ -3,7 +3,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussrough
 from gaussrough import (
     ConfigError,
     ResultRecord,
@@ -423,10 +427,37 @@ def test_cli_data_error_exit_3(tmp_path):
 
 def test_cli_non_finite_statistic_exit_3(tmp_path, capsys):
     # p = 1e300 passes validation, but the distances to the power p overflow.
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code, out = run_cli(tmp_path, "pvar", dict(PVAR, p=1e300))
+    code, out = run_cli(tmp_path, "pvar", dict(PVAR, p=1e300))
     assert code == 3 and not out.exists()
-    assert capsys.readouterr().err.startswith("data error: pvar_norm is not finite")
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("data error: pvar_norm is not finite")
+
+
+def test_cli_process_overflow_one_stderr_line(tmp_path):
+    # Run as a user would: no pytest warning capture between numpy and stderr.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(BROWNIAN, d=2, samples=3, p=1e300)))
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(gaussrough.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaussrough.cli", "pvar", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3 and not out.exists()
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: pvar_norm is not finite")
+
+
+def test_cli_lift_overflow_exit_3(tmp_path, capsys):
+    # A huge covariance samples finite paths whose lift overflows.
+    times = uniform_grid(4).times
+    table = tmp_path / "cov.csv"
+    np.savetxt(table, np.vstack([times[None, :], 1e300 * np.minimum.outer(times, times)]), delimiter=",")
+    config = {"kernel": {"kind": "table", "path": str(table)}, "n": 4, "seed": 0, "d": 2, "samples": 1}
+    code, out = run_cli(tmp_path, "lift", config)
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("data error: lifted log coordinates")
 
 
 def test_cli_simulate_format(tmp_path):

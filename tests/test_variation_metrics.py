@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,9 @@ def test_pvar_validation(rng):
         pvar_dist(x, y, 2.0)
     with pytest.raises(ValueError):
         pvar_norm(x, 0.5)
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            pvar_norm(x, p)
     with pytest.raises(ValueError):
         pvar_norm(x, 2.0, mode="annealing")
     big = lift_pl(random_path(rng, 1, 20))
@@ -214,6 +219,124 @@ def test_hillclimb_matches_brute_small(rng):
         assert abs(climb - brute) <= 1e-10 * max(1.0, brute)
 
 
+def _reference_grid_sum(r, idx, rho):
+    sub = r[np.ix_(idx, idx)]
+    cells = np.diff(np.diff(sub, axis=0), axis=1)
+    return float(np.sum(np.abs(cells) ** rho))
+
+
+def _reference_hillclimb(r, nodes, rho, seed):
+    # The search as it stood before screening: every candidate evaluated.
+    n_seg = nodes.size - 1
+    interior = list(range(1, n_seg))
+
+    def climb(member):
+        current = _reference_grid_sum(r, nodes[np.flatnonzero(member)], rho)
+        improved = True
+        while improved:
+            improved = False
+            for k in interior:
+                member[k] = ~member[k]
+                candidate = _reference_grid_sum(r, nodes[np.flatnonzero(member)], rho)
+                if candidate > current + 1e-15:
+                    current = candidate
+                    improved = True
+                else:
+                    member[k] = ~member[k]
+            if improved:
+                continue
+            for a_idx in range(len(interior)):
+                for b_idx in range(a_idx + 1, len(interior)):
+                    ka, kb = interior[a_idx], interior[b_idx]
+                    member[ka] = ~member[ka]
+                    member[kb] = ~member[kb]
+                    candidate = _reference_grid_sum(r, nodes[np.flatnonzero(member)], rho)
+                    if candidate > current + 1e-15:
+                        current = candidate
+                        improved = True
+                    else:
+                        member[ka] = ~member[ka]
+                        member[kb] = ~member[kb]
+        return current
+
+    full = np.ones(n_seg + 1, dtype=bool)
+    best = climb(full.copy())
+    rng = np.random.default_rng(seed)
+    for _ in range(vm._HILLCLIMB_RESTARTS):
+        member = full.copy()
+        if interior:
+            member[1:n_seg] = rng.random(n_seg - 1) < 0.5
+        best = max(best, climb(member))
+    return max(best, _reference_grid_sum(r, nodes, rho))
+
+
+def fbm_cov(n, hurst):
+    t = uniform_grid(n).times
+    h2 = 2.0 * hurst
+    return 0.5 * (t[:, None] ** h2 + t[None, :] ** h2 - np.abs(t[:, None] - t[None, :]) ** h2)
+
+
+def random_rho_cases(rng, count, max_n):
+    """Symmetric, non-symmetric and fbm matrices with a random sub-block.  The
+    last kind adds a constant: it cancels in every cell but lifts the screen's
+    margin, which scales with the largest entry, far above most gains."""
+    for case in range(count):
+        n = int(rng.integers(2, max_n + 1))
+        a = rng.normal(size=(n + 1, n + 1))
+        fbm = fbm_cov(n, float(rng.uniform(0.1, 0.5)))
+        r = (a @ a.T, a, fbm, a @ a.T + 1e6)[case % 4]
+        lo = int(rng.integers(0, max(1, n // 3)))
+        hi = int(rng.integers(lo + 1, n + 1))
+        yield r, float(rng.uniform(1.0, 3.0)), lo, hi
+
+
+def test_hillclimb_equals_unscreened_search(rng):
+    for r, rho, lo, hi in random_rho_cases(rng, 200, 24):
+        seed = int(rng.integers(0, 1 << 16))
+        ref = _reference_hillclimb(r, np.arange(lo, hi + 1), rho, seed) ** (1.0 / rho)
+        assert rho_var_2d(r, rho, mode="hillclimb", lo=lo, hi=hi, seed=seed) == ref
+
+
+def test_screened_gains_match_exact_differences(rng):
+    screened = 0
+    for r, rho, lo, hi in random_rho_cases(rng, 60, 16):
+        sub = r[lo : hi + 1, lo : hi + 1]
+        rr = np.stack((sub, sub.T))
+        n_seg = hi - lo
+        member = np.ones(n_seg + 1, dtype=bool)
+        member[1:n_seg] = rng.random(n_seg - 1) < 0.5
+        before = vm._grid_sum(sub, np.flatnonzero(member), rho)
+        gain = vm._toggle_gains(rr, member, rho)
+        pair = vm._pair_gains(rr, member, gain, rho)
+        tol = 1e-12 * before
+        for k in range(1, n_seg):
+            after = member.copy()
+            after[k] = ~after[k]
+            exact = vm._grid_sum(sub, np.flatnonzero(after), rho) - before
+            assert abs(gain[k - 1] - exact) <= tol
+            for kb in range(k + 1, n_seg):
+                both = after.copy()
+                both[kb] = ~both[kb]
+                exact = vm._grid_sum(sub, np.flatnonzero(both), rho) - before
+                # Pairs with overlapping windows are left unscreened (+inf).
+                if pair[k - 1, kb - 1] != np.inf:
+                    assert abs(pair[k - 1, kb - 1] - exact) <= tol
+                    screened += 1
+    assert screened > 200
+
+
+def test_hillclimb_exact_tie_brownian():
+    # rho = 1 on Brownian covariance: only diagonal cells are nonzero, so
+    # every toggle gains exactly nothing and the screen may skip none.
+    r = brownian_cov(28)
+    member = np.ones(29, dtype=bool)
+    member[1::3] = False
+    gain = vm._toggle_gains(np.stack((r, r.T)), member, 1.0)
+    assert np.max(np.abs(gain)) <= 1e-15
+    assert abs(rho_var_2d(r, 1.0, mode="hillclimb") - 1.0) <= 1e-12
+    assert abs(rho_var_2d(r, 1.0, mode="hillclimb", lo=5, hi=20) - 15 / 28) <= 1e-12
+
+
 def test_rho_var_nonincreasing_in_rho(rng):
     a = rng.normal(size=(7, 7))
     r = a @ a.T
@@ -226,6 +349,10 @@ def test_rho_var_validation():
     r = brownian_cov(4)
     with pytest.raises(ValueError):
         rho_var_2d(r, 0.9)
+    for rho in (math.nan, math.inf):
+        for mode in ("fullgrid", "hillclimb"):
+            with pytest.raises(ValueError):
+                rho_var_2d(r, rho, mode=mode)
     with pytest.raises(ValueError):
         rho_var_2d(r[:4, :5], 1.0)
     with pytest.raises(ValueError):
