@@ -29,8 +29,9 @@ from .gaussian_process import (
     CovKernel,
     CovMatrix,
     DataError,
-    _sample_values,
     cov_matrix,
+    draw_normals,
+    sample_values,
 )
 from .karhunen_loeve import (
     IndexSet,
@@ -40,9 +41,15 @@ from .karhunen_loeve import (
     partial_cov,
     project,
 )
-from .path_lift import SamplePath, _lift_values, uniform_grid
-from .tensor_group import _hom_norm_levels, _log_levels
-from .variation_metrics import BRUTE_MAX_2D, _dp_max_sum, pair_dist_table, rho_var_2d
+from .path_lift import SamplePath, lift_values, uniform_grid
+from .tensor_group import hom_norm_levels, log_levels
+from .variation_metrics import (
+    BRUTE_MAX_2D,
+    holder_batch,
+    pvar_batch,
+    reduce_pair_dists,
+    rho_var_2d,
+)
 
 __all__ = [
     "ConfigError",
@@ -407,8 +414,8 @@ def _q_mean(dists: np.ndarray, q: float) -> tuple[float, float]:
 
 
 def _sample_levels(r: CovMatrix, cfg: ExperimentConfig, count: int, seed: int, depth: int = 3):
-    values = _sample_values(r, cfg.d, count, seed)
-    return values, _lift_values(values, depth)
+    values = sample_values(r, cfg.d, count, seed)
+    return values, lift_values(values, depth)
 
 
 def _mode_sets(cfg: ExperimentConfig, rank: int) -> list[IndexSet]:
@@ -418,6 +425,16 @@ def _mode_sets(cfg: ExperimentConfig, rank: int) -> list[IndexSet]:
         return [IndexSet.prefix(m) for m in cfg.m]
     order = np.random.default_rng([cfg.seed, 101]).permutation(rank)
     return [IndexSet.of(order[:m]) for m in cfg.m]
+
+
+def _random_mode_sets(rng: np.random.Generator, rank: int, count: int) -> list[np.ndarray]:
+    """``count`` sorted random mode sets, each of a random size in 1..rank."""
+    if rank < 1:
+        raise DataError("covariance has rank 0: there are no modes to choose from")
+    return [
+        np.sort(rng.choice(rank, size=int(rng.integers(1, rank + 1)), replace=False))
+        for _ in range(count)
+    ]
 
 
 def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -430,12 +447,11 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
     values, full_levels = _sample_levels(r, cfg, cfg.samples, _child_seed(cfg.seed, 0))
     alpha = cfg.alpha if cfg.alpha is not None else 1.0 / cfg.p
     holder = cfg.kernel.kind in ("brownian", "fbm")
-    i_idx, j_idx = np.triu_indices(grid.n_nodes, k=1)
-    gaps = grid.times[j_idx] - grid.times[i_idx]
 
-    def pvar_and_holder(table):
-        pvar = _dp_max_sum(table**cfg.p) ** (1.0 / cfg.p)
-        return pvar, np.max(table[:, i_idx, j_idx] / gaps**alpha, axis=-1)
+    def pvar_and_holder(x, y=None):
+        return reduce_pair_dists(
+            x, y, lambda t: pvar_batch(t, cfg.p), lambda t: holder_batch(t, grid.times, alpha)
+        )
 
     records = []
     for a, m in zip(_mode_sets(cfg, basis.rank), cfg.m):
@@ -444,8 +460,8 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
         drop = basis.phi[a.complement(basis.rank).as_array()]
         tail = np.einsum("sct,mt,mu->scu", values, drop, drop, optimize=True)
         proj = values - tail
-        pvar, hold = pvar_and_holder(pair_dist_table(_lift_values(proj, 3), full_levels))
-        tail_pvar, tail_hold = pvar_and_holder(pair_dist_table(_lift_values(tail, 3)))
+        pvar, hold = pvar_and_holder(lift_values(proj, 3), full_levels)
+        tail_pvar, tail_hold = pvar_and_holder(lift_values(tail, 3))
         for name, data in (
             ("kl_pvar_qmean", pvar),
             ("kl_tail_pvar_qmean", tail_pvar),
@@ -464,7 +480,7 @@ def _run_dyadic(cfg: ExperimentConfig) -> list[ResultRecord]:
     # consecutive pair is compared on the finer grid of the two.
     grid = uniform_grid(cfg.n)
     r = cov_matrix(cfg.kernel, grid)
-    values = _sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 0))
+    values = sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 0))
     records = []
     for m in sorted(cfg.m):
         fine = 2 * m
@@ -475,8 +491,9 @@ def _run_dyadic(cfg: ExperimentConfig) -> list[ResultRecord]:
         interp = np.empty_like(fine_vals)
         interp[:, :, ::2] = coarse_vals
         interp[:, :, 1::2] = 0.5 * (coarse_vals[:, :, :-1] + coarse_vals[:, :, 1:])
-        table = pair_dist_table(_lift_values(interp, 3), _lift_values(fine_vals, 3))
-        dists = _dp_max_sum(table**cfg.p) ** (1.0 / cfg.p)
+        (dists,) = reduce_pair_dists(
+            lift_values(interp, 3), lift_values(fine_vals, 3), lambda t: pvar_batch(t, cfg.p)
+        )
         value, se = _q_mean(dists, cfg.q)
         records.append(_record(cfg, "dyadic_pvar_qmean", value, se, m))
     return records
@@ -495,24 +512,16 @@ def run_uniform_modulus(cfg: ExperimentConfig) -> list[ResultRecord]:
     rng = np.random.default_rng([cfg.seed, 202])
     # The full set attains the sup over index sets (squared increment moments
     # are monotone in the kept modes), so it is always part of the family.
-    sets = [np.arange(rank)]
-    for _ in range(cfg.sets):
-        size = int(rng.integers(1, rank + 1))
-        sets.append(np.sort(rng.choice(rank, size=size, replace=False)))
+    sets = [np.arange(rank)] + _random_mode_sets(rng, rank, cfg.sets)
 
     # Coefficient-space sampling: one xi block per mode set, shared draws.
-    xi = np.stack(
-        [
-            np.random.default_rng([_child_seed(cfg.seed, 1), k]).standard_normal((cfg.d, rank))
-            for k in range(cfg.samples)
-        ]
-    )
+    xi = draw_normals(_child_seed(cfg.seed, 1), cfg.samples, (cfg.d, rank))
     per_length = {l: [] for l in lengths}
     for sel in sets:
         vals = np.einsum("skm,mt->skt", xi[:, :, sel], basis.h[sel])
-        levels = _lift_values(vals, 3)
+        levels = lift_values(vals, 3)
         for l in lengths:
-            norms = _hom_norm_levels([lv[:, l] for lv in levels])
+            norms = hom_norm_levels([lv[:, l] for lv in levels])
             per_length[l].append(norms**2)
     records = []
     log_x, log_y = [], []
@@ -568,7 +577,7 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
     basis = kl_decompose(r)
     bases = [basis] * cfg.d
     a = IndexSet.prefix(min(cfg.index_size, basis.rank))
-    x_full = SamplePath(grid, _sample_values(r, cfg.d, 1, _child_seed(cfg.seed, 3))[0])
+    x_full = SamplePath(grid, sample_values(r, cfg.d, 1, _child_seed(cfg.seed, 3))[0])
     x_a = project(x_full, bases, a)
     pairs = cfg.pairs or ((0, cfg.n), (0, cfg.n // 2), (cfg.n // 4, 3 * cfg.n // 4))
 
@@ -577,8 +586,8 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
         mean_log, se = conditional_log_mc(
             bases, a, x_a, s, t, cfg.samples, _child_seed(cfg.seed, 4, idx)
         )
-        ref_levels = _lift_values(x_a.values[:, s : t + 1][None], 3)
-        ref_log = _log_levels([lv[0, -1] for lv in ref_levels])
+        ref_levels = lift_values(x_a.values[:, s : t + 1][None], 3)
+        ref_log = log_levels([lv[0, -1] for lv in ref_levels])
         corr = level3_correction(bases, a, x_a, s, t)
         tag = f"{s}-{t}"
         diff1 = mean_log.levels[1] - ref_log[1]
@@ -594,7 +603,7 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
     # Unconditional: the mean log-lift vanishes at every node.
     _, levels = _sample_levels(r, cfg, cfg.samples, _child_seed(cfg.seed, 5))
     for t in {cfg.n // 2, cfg.n}:
-        logs = _log_levels([lv[:, t] for lv in levels])
+        logs = log_levels([lv[:, t] for lv in levels])
         diffs = [np.mean(lv, axis=0) for lv in logs[1:]]
         ses = [np.std(lv, axis=0, ddof=1) / math.sqrt(cfg.samples) for lv in logs[1:]]
         records.append(_record(cfg, f"uncond_max_z:{t}", _max_z(diffs, ses), None, None))
@@ -610,10 +619,8 @@ def run_2var_bound(cfg: ExperimentConfig) -> list[ResultRecord]:
     full_val = rho_var_2d(r.entries, 2.0, "fullgrid")
     rng = np.random.default_rng([cfg.seed, 303])
     worst = -np.inf
-    for _ in range(cfg.sets):
-        size = int(rng.integers(1, basis.rank + 1))
-        a = IndexSet.of(np.sort(rng.choice(basis.rank, size=size, replace=False)))
-        sub_val = rho_var_2d(partial_cov(basis, a).entries, 2.0, "fullgrid")
+    for sel in _random_mode_sets(rng, basis.rank, cfg.sets):
+        sub_val = rho_var_2d(partial_cov(basis, IndexSet.of(sel)).entries, 2.0, "fullgrid")
         worst = max(worst, sub_val - full_val)
     return [
         _record(cfg, "twovar_gap_max", worst, None, None),
@@ -630,7 +637,7 @@ def run_translation_check(cfg: ExperimentConfig) -> list[ResultRecord]:
     bases = [basis]
     rank = basis.rank
     worst = 0.0
-    values = _sample_values(r, 1, cfg.samples, _child_seed(cfg.seed, 6))
+    values = sample_values(r, 1, cfg.samples, _child_seed(cfg.seed, 6))
     for k in range(cfg.samples):
         x = SamplePath(grid, values[k])
         removed = {m: project(x, bases, IndexSet.prefix(m)) for m in range(rank + 1)}
@@ -647,15 +654,15 @@ def run_simulate(cfg: ExperimentConfig) -> np.ndarray:
     """Sampled path values, shape (samples, d, n_nodes)."""
     grid = uniform_grid(cfg.n)
     r = cov_matrix(cfg.kernel, grid)
-    return _sample_values(r, cfg.d, cfg.samples, cfg.seed)
+    return sample_values(r, cfg.d, cfg.samples, cfg.seed)
 
 
 def run_lift(cfg: ExperimentConfig) -> list[np.ndarray]:
     """Log coordinates of the lifted samples, one array per degree 1..depth;
     degree k has shape (samples, n_nodes) + (d,)*k."""
     values = run_simulate(cfg)
-    levels = _lift_values(values, cfg.depth)
-    return _log_levels(levels)[1:]
+    levels = lift_values(values, cfg.depth)
+    return log_levels(levels)[1:]
 
 
 def simulate_rows(cfg: ExperimentConfig):
@@ -690,7 +697,7 @@ def run_pvar(cfg: ExperimentConfig) -> list[ResultRecord]:
     grid = uniform_grid(cfg.n)
     r = cov_matrix(cfg.kernel, grid)
     _, levels = _sample_levels(r, cfg, cfg.samples, cfg.seed)
-    vals = _dp_max_sum(pair_dist_table(levels) ** cfg.p) ** (1.0 / cfg.p)
+    (vals,) = reduce_pair_dists(levels, None, lambda t: pvar_batch(t, cfg.p))
     return [_record(cfg, "pvar_norm", val, None, s) for s, val in enumerate(vals)]
 
 

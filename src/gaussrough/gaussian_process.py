@@ -7,20 +7,23 @@ given by node values on their own grid, extended by bilinear interpolation
 process).
 
 Sampling draws d independent components per path from the exact joint law on
-the grid via a Cholesky factor.  Nodes with (numerically) zero variance are
-deterministic and excluded from the factorization; they are filled with
-zeros.  If the reduced matrix still fails to factor, the diagonal is jittered
-once by 1e-12 times its mean and the factorization retried; persistent
-failure raises DataError.
+the grid via a Cholesky factor, computed once per ``CovMatrix``.  Nodes with
+(numerically) zero variance are deterministic and excluded from the
+factorization; they are filled with zeros.  If the reduced matrix still fails
+to factor, the diagonal is jittered once by 1e-12 times its mean and the
+factorization retried; persistent failure raises DataError.
 
 Reproducibility contract: draw k of a call with seed s uses the generator
 ``np.random.default_rng([s, k])``, so each draw has its own substream and
-results are independent of batching or evaluation order.
+results are independent of batching or evaluation order.  ``draw_normals``,
+the one place that builds these generators, and ``sample_values`` are this
+module's part of the batch layer (see ``tensor_group``): draw index first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,12 +138,33 @@ class CovMatrix:
             raise ValueError("entries must be square over the grid nodes")
         object.__setattr__(self, "entries", e)
 
+    @cached_property
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mask of the nodes with positive variance, lower Cholesky factor of
+        their block), computed on first use and kept."""
+        diag = np.diag(self.entries)
+        scale = max(float(np.max(diag, initial=0.0)), 1.0)
+        active = diag > _ZERO_VAR_TOL * scale
+        block = self.entries[np.ix_(active, active)]
+        if block.size == 0:
+            return active, np.zeros((0, 0))
+        try:
+            return active, np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            pass
+        jitter = _JITTER * float(np.mean(np.diag(block)))
+        try:
+            return active, np.linalg.cholesky(block + jitter * np.eye(block.shape[0]))
+        except np.linalg.LinAlgError as err:
+            raise DataError("covariance factorization failed after jitter retry") from err
+
 
 def cov_matrix(kernel: CovKernel, grid: TimeGrid) -> CovMatrix:
     """Evaluate a kernel on a grid and check positive semidefiniteness.
 
-    Raises DataError when the smallest eigenvalue is below -1e-10 times the
-    largest (table kernels can be arbitrarily bad; the analytic ones cannot).
+    Raises DataError when the smallest eigenvalue is below -1e-10 times
+    max(largest eigenvalue, 1) (table kernels can be arbitrarily bad; the
+    analytic ones cannot).
     """
     t = grid.times
     entries = kernel_eval(kernel, t[:, None], t[None, :])
@@ -152,46 +176,30 @@ def cov_matrix(kernel: CovKernel, grid: TimeGrid) -> CovMatrix:
     return CovMatrix(grid, entries)
 
 
-def _cholesky_reduced(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor the sub-block of nodes with positive variance.
+def draw_normals(seed: int, count: int, shape: tuple[int, ...], first: int = 0) -> np.ndarray:
+    """Standard normals of draws first..first+count-1, shape (count,) + shape.
 
-    Returns (active node mask, lower factor of the active block).
+    Draw k comes from its own generator ``np.random.default_rng([seed, k])``.
     """
-    diag = np.diag(entries)
-    scale = max(float(np.max(diag, initial=0.0)), 1.0)
-    active = diag > _ZERO_VAR_TOL * scale
-    block = entries[np.ix_(active, active)]
-    if block.size == 0:
-        return active, np.zeros((0, 0))
-    try:
-        return active, np.linalg.cholesky(block)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = _JITTER * float(np.mean(np.diag(block)))
-    try:
-        return active, np.linalg.cholesky(block + jitter * np.eye(block.shape[0]))
-    except np.linalg.LinAlgError as err:
-        raise DataError("covariance factorization failed after jitter retry") from err
+    out = np.empty((count,) + shape)
+    for k in range(count):
+        out[k] = np.random.default_rng([seed, first + k]).standard_normal(shape)
+    return out
 
 
-def _sample_values(r: CovMatrix, dim: int, count: int, seed: int, first: int = 0) -> np.ndarray:
+def sample_values(r: CovMatrix, dim: int, count: int, seed: int, first: int = 0) -> np.ndarray:
     """Stacked draws first..first+count-1, shape (count, dim, n_nodes).
 
     Components are independent; draw indices address substreams, so a chunked
     caller reproduces one big call exactly.
     """
-    active, chol = _cholesky_reduced(r.entries)
+    active, chol = r.factor
     n = r.grid.n_nodes
     out = np.zeros((count, dim, n))
     n_active = int(np.count_nonzero(active))
     if n_active == 0 or count == 0:
         return out
-    z = np.stack(
-        [
-            np.random.default_rng([seed, first + k]).standard_normal((dim, n_active))
-            for k in range(count)
-        ]
-    )
+    z = draw_normals(seed, count, (dim, n_active), first)
     out[:, :, active] = (z.reshape(count * dim, n_active) @ chol.T).reshape(
         count, dim, n_active
     )
@@ -202,5 +210,5 @@ def sample(r: CovMatrix, dim: int, count: int, seed: int) -> list[SamplePath]:
     """Draw paths with d iid components from the exact grid law."""
     if dim < 1 or count < 0:
         raise ValueError("need dim >= 1 and count >= 0")
-    values = _sample_values(r, dim, count, seed)
+    values = sample_values(r, dim, count, seed)
     return [SamplePath(r.grid, values[k]) for k in range(count)]

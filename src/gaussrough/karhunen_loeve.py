@@ -35,9 +35,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gaussian_process import CovMatrix, DataError
-from .path_lift import SamplePath, _lift_values, young_integral_quadratic
-from .tensor_group import LieElement, _log_levels, _unit_levels, bracket_iij_tensor
+from .gaussian_process import CovMatrix, DataError, draw_normals
+from .path_lift import SamplePath, TimeGrid, lift_values, young_integral_quadratic
+from .tensor_group import LieElement, bracket_iij_tensor, log_levels, zero
 
 __all__ = [
     "KLBasis",
@@ -157,8 +157,6 @@ def partial_cov(basis: KLBasis, a: IndexSet) -> CovMatrix:
 
     PSD by construction, so no eigenvalue check is run.
     """
-    from .path_lift import TimeGrid
-
     _check_modes(basis, a)
     h = basis.h[a.as_array()]
     return CovMatrix(TimeGrid(basis.grid_times), h.T @ h)
@@ -250,10 +248,7 @@ def level3_correction(
             integral = young_integral_quadratic(f_nodes, f_mids, x_a, j, s, t)
             coeff = dx_j * rect_st / 12.0 - 0.5 * integral
             cube += coeff * bracket_iij_tensor(i, j, d).levels[3]
-    levels = _unit_levels(d, 3)
-    levels[0] = np.zeros(())
-    levels[3] = cube
-    return LieElement(d, 3, tuple(levels))
+    return LieElement(d, 3, zero(d, 3).levels[:3] + (cube,))
 
 
 def conditional_log_mc(
@@ -288,17 +283,14 @@ def conditional_log_mc(
     window = x_a.values[:, s : t + 1]
     total = int(np.sum(sizes))
 
-    xi = np.stack(
-        [np.random.default_rng([seed, k]).standard_normal(total) for k in range(count)]
-    )
+    xi = draw_normals(seed, count, (total,))
     values = np.broadcast_to(window, (count,) + window.shape).copy()
     for c, part in enumerate(np.split(xi, splits, axis=1)):
         if sizes[c]:
             values[:, c, :] += part @ res_h[c][:, s : t + 1]
 
-    lifted = _lift_values(values, 3)
-    end = [lv[:, -1] for lv in lifted]
-    logs = _log_levels(end)
+    lifted = lift_values(values, 3)
+    logs = log_levels([lv[:, -1] for lv in lifted])
 
     mean_levels = [np.mean(lv, axis=0) for lv in logs]
     mean_levels[0] = np.zeros(())

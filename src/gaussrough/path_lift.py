@@ -7,6 +7,10 @@ path is the path increment from time 0 (the start value is subtracted).  Chen's
 identity holds exactly: the increment of the lift between two nodes equals the
 lift of the path restricted to those nodes.
 
+``lift_values`` is this module's part of the batch layer (see
+``tensor_group``): it lifts node values of shape ``(..., d, n_nodes)`` for any
+leading batch axes into level-stacked arrays.
+
 ``young_integral_quadratic`` integrates a piecewise-quadratic scalar function
 against a coordinate of a piecewise-linear path with Simpson weights per
 segment, which is exact for that class of integrands.
@@ -19,13 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor_group import (
-    MAX_DEPTH,
-    GroupElement,
-    _check_depth,
-    _inv_levels,
-    _mul_levels,
-)
+from .tensor_group import MAX_DEPTH, GroupElement, check_depth, increment
 
 __all__ = [
     "TimeGrid",
@@ -144,10 +142,11 @@ def _times_delta(head: np.ndarray, delta: np.ndarray, out: np.ndarray) -> None:
         np.multiply(head, scale, out=out[..., c])
 
 
-def _lift_values(values: np.ndarray, depth: int) -> list[np.ndarray]:
+def lift_values(values: np.ndarray, depth: int) -> list[np.ndarray]:
     """Chen cumulative sums over the last (node) axis.
 
-    values: (..., d, n_nodes) -> levels[k]: (..., n_nodes) + (d,)*k.
+    values: (..., d, n_nodes) -> levels[k]: (..., n_nodes) + (d,)*k, for
+    depth in 1..3.
 
     Chen's identity with the segment exponential exp(delta) gives the level-k
     increment over segment m from the lower levels at node m:
@@ -157,6 +156,7 @@ def _lift_values(values: np.ndarray, depth: int) -> list[np.ndarray]:
     place along the node axis, so no temporary larger than the path itself is
     allocated.
     """
+    check_depth(depth)
     delta = np.swapaxes(np.diff(values, axis=-1), -1, -2)  # (..., n_seg, d)
     shape = delta.shape[:-2] + (delta.shape[-2] + 1,)
     d = delta.shape[-1]
@@ -188,17 +188,14 @@ def _lift_values(values: np.ndarray, depth: int) -> list[np.ndarray]:
 
 def lift_pl(path: SamplePath, depth: int = MAX_DEPTH) -> GroupPath:
     """Signature lift of a piecewise-linear path, node by node."""
-    _check_depth(depth)
-    return GroupPath(path.grid, tuple(_lift_values(path.values, depth)))
+    return GroupPath(path.grid, tuple(lift_values(path.values, depth)))
 
 
 def signature_increment(gp: GroupPath, a: int, b: int) -> GroupElement:
     """Increment of the lift between node a and node b (Chen bracket)."""
     if not 0 <= a <= b < gp.grid.n_nodes:
         raise ValueError("need 0 <= a <= b over grid nodes")
-    la = [lv[a] for lv in gp.levels]
-    lb = [lv[b] for lv in gp.levels]
-    return GroupElement(gp.dim, gp.depth, tuple(_mul_levels(_inv_levels(la), lb)))
+    return increment(gp.point(a), gp.point(b))
 
 
 def young_integral_quadratic(

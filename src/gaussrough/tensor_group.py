@@ -12,14 +12,17 @@ which is equivalent to the Carnot-Caratheodory norm and exactly computable.
 The induced left-invariant distance is dist(g, h) = ||g^{-1} h||.  The public
 per-element API takes the inverse by the general Neumann series, so it also
 serves elements that were never checked to be group-like.  The hot paths
-(``variation_metrics.pair_dist_table``) work on increments of lifted paths,
+(``variation_metrics.reduce_pair_dists``) work on increments of lifted paths,
 which are group-like: there the inverse is, level by level, a signed index
 reversal of g, so the symmetrized norm equals the plain max norm
 max_k |pi_k(g)|^(1/k) and they use that.
 
-The module-private ``*_levels`` helpers operate on lists of arrays with
-arbitrary leading batch axes (level k has shape ``batch + (d,)*k``); the
-public API wraps single elements in frozen dataclasses.
+The public API wraps single elements in frozen dataclasses.  Under it lies
+the package's internal batch layer, shared between modules but not exported:
+level-stacked elements, one array per degree with any leading batch axes
+(level k has shape ``batch + (d,)*k``).  This module contributes
+``check_depth``, ``log_levels`` and ``hom_norm_levels``; ``path_lift``,
+``gaussian_process`` and ``variation_metrics`` name their parts.
 """
 
 from __future__ import annotations
@@ -53,69 +56,45 @@ __all__ = [
 
 MAX_DEPTH = 3
 
-# einsum subscripts for the graded product, keyed by (level of a, level of b).
-# '...' carries any shared batch axes.
-_PROD_SUBS = {
-    (0, 0): "...,...->...",
-    (0, 1): "...,...i->...i",
-    (1, 0): "...i,...->...i",
-    (0, 2): "...,...ij->...ij",
-    (2, 0): "...ij,...->...ij",
-    (1, 1): "...i,...j->...ij",
-    (0, 3): "...,...ijk->...ijk",
-    (3, 0): "...ijk,...->...ijk",
-    (1, 2): "...i,...jk->...ijk",
-    (2, 1): "...ij,...k->...ijk",
-}
 
-
-def _check_depth(depth: int) -> None:
+def check_depth(depth: int) -> None:
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
 
 
-def _unit_levels(dim: int, depth: int, batch: tuple = ()) -> list[np.ndarray]:
-    levels = [np.ones(batch)]
+def _unit_levels(dim: int, depth: int) -> list[np.ndarray]:
+    levels = [np.ones(())]
     for k in range(1, depth + 1):
-        levels.append(np.zeros(batch + (dim,) * k))
+        levels.append(np.zeros((dim,) * k))
     return levels
 
 
 def _mul_levels(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> list[np.ndarray]:
-    depth = len(a) - 1
+    # (a b)_k = sum_p a_p (x) b_{k-p}.  a_p gains k-p trailing axes and b_{k-p}
+    # gains p axes ahead of its own, so each outer product is one broadcast
+    # multiply over the shared leading batch axes.
+    def outer(p: int, q: int) -> np.ndarray:
+        head = np.asarray(a[p])[(Ellipsis,) + (None,) * q]
+        return head * np.expand_dims(b[q], tuple(range(-p - q, -q)))
+
     out = []
-    for k in range(depth + 1):
-        acc = np.einsum(_PROD_SUBS[(0, k)], a[0], b[k])
+    for k in range(len(a)):
+        acc = outer(0, k)
         for p in range(1, k + 1):
-            acc = acc + np.einsum(_PROD_SUBS[(p, k - p)], a[p], b[k - p])
+            acc = acc + outer(p, k - p)
         out.append(acc)
     return out
 
 
-def _scaled_sum(*terms: tuple[float, Sequence[np.ndarray]]) -> list[np.ndarray]:
-    depth = len(terms[0][1]) - 1
-    out = []
-    for k in range(depth + 1):
-        acc = terms[0][0] * terms[0][1][k]
-        for c, lv in terms[1:]:
-            acc = acc + c * lv[k]
-        out.append(acc)
-    return out
-
-
-def _exp_levels(l: Sequence[np.ndarray]) -> list[np.ndarray]:
-    # Truncated exponential of a scalar-free element; the series terminates
-    # because products of scalar-free elements vanish past the depth.
-    depth = len(l) - 1
-    dim = l[1].shape[-1] if depth >= 1 else 1
-    batch = l[0].shape
-    acc = _scaled_sum((1.0, _unit_levels(dim, depth, batch)), (1.0, l))
-    if depth >= 2:
-        l2 = _mul_levels(l, l)
-        acc = _scaled_sum((1.0, acc), (0.5, l2))
-        if depth >= 3:
-            l3 = _mul_levels(l2, l)
-            acc = _scaled_sum((1.0, acc), (1.0 / 6.0, l3))
+def _series(u: Sequence[np.ndarray], coeffs: Sequence[float]) -> list[np.ndarray]:
+    # sum_j coeffs[j] u^j, truncated at u's depth: u^j of a scalar-free u
+    # starts at degree j, so the later terms vanish.
+    acc = [coeffs[1] * lv for lv in u]
+    acc[0] = acc[0] + coeffs[0]
+    power = u
+    for c in coeffs[2 : len(u)]:
+        power = _mul_levels(power, u)
+        acc = [s + c * lv for s, lv in zip(acc, power)]
     return acc
 
 
@@ -123,33 +102,14 @@ def _strip_scalar(g: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [np.zeros_like(np.asarray(g[0]))] + [np.asarray(lv) for lv in g[1:]]
 
 
-def _log_levels(g: Sequence[np.ndarray]) -> list[np.ndarray]:
-    # log(1 + u) = u - u^2/2 + u^3/3 with u scalar-free; exact at this depth.
-    depth = len(g) - 1
-    u = _strip_scalar(g)
-    acc = u
-    if depth >= 2:
-        u2 = _mul_levels(u, u)
-        acc = _scaled_sum((1.0, acc), (-0.5, u2))
-        if depth >= 3:
-            u3 = _mul_levels(u2, u)
-            acc = _scaled_sum((1.0, acc), (1.0 / 3.0, u3))
-    return acc
+def log_levels(g: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """log(1 + u) = u - u^2/2 + u^3/3 with u = g - 1; exact at this depth."""
+    return _series(_strip_scalar(g), (0.0, 1.0, -0.5, 1.0 / 3.0))
 
 
 def _inv_levels(g: Sequence[np.ndarray]) -> list[np.ndarray]:
     # (1 + u)^{-1} = 1 - u + u^2 - u^3; identical to exp(-log g) at this depth.
-    depth = len(g) - 1
-    u = _strip_scalar(g)
-    dim = u[1].shape[-1] if depth >= 1 else 1
-    acc = _scaled_sum((1.0, _unit_levels(dim, depth, np.asarray(g[0]).shape)), (-1.0, u))
-    if depth >= 2:
-        u2 = _mul_levels(u, u)
-        acc = _scaled_sum((1.0, acc), (1.0, u2))
-        if depth >= 3:
-            u3 = _mul_levels(u2, u)
-            acc = _scaled_sum((1.0, acc), (-1.0, u3))
-    return acc
+    return _series(_strip_scalar(g), (1.0, -1.0, 1.0, -1.0))
 
 
 def _level_abs(levels: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -164,7 +124,8 @@ def _level_abs(levels: Sequence[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _hom_norm_levels(g: Sequence[np.ndarray]) -> np.ndarray:
+def hom_norm_levels(g: Sequence[np.ndarray]) -> np.ndarray:
+    """Symmetrized homogeneous norm of level-stacked elements, batch-shaped."""
     depth = len(g) - 1
     fwd = _level_abs(g)
     bwd = _level_abs(_inv_levels(g))
@@ -191,7 +152,7 @@ class TensorElement:
     levels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        _check_depth(self.depth)
+        check_depth(self.depth)
         if len(self.levels) != self.depth + 1:
             raise ValueError("levels must have one entry per degree 0..depth")
         norm = []
@@ -292,14 +253,14 @@ def exp(l: TensorElement) -> GroupElement:
     """Truncated exponential; requires scalar part 0."""
     if abs(l.scalar) > 1e-12:
         raise ValueError("exp requires scalar part 0")
-    return GroupElement(l.dim, l.depth, tuple(_exp_levels(l.levels)))
+    return GroupElement(l.dim, l.depth, tuple(_series(l.levels, (1.0, 1.0, 0.5, 1.0 / 6.0))))
 
 
 def log(g: TensorElement) -> LieElement:
     """Truncated logarithm; requires scalar part 1."""
     if abs(g.scalar - 1.0) > 1e-12:
         raise ValueError("log requires scalar part 1")
-    return LieElement(g.dim, g.depth, tuple(_log_levels(g.levels)))
+    return LieElement(g.dim, g.depth, tuple(log_levels(g.levels)))
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -322,13 +283,13 @@ def dilate(lam: float, g: GroupElement) -> GroupElement:
 
 def hom_norm(g: GroupElement) -> float:
     """Symmetrized homogeneous max norm of g."""
-    return float(_hom_norm_levels(g.levels))
+    return float(hom_norm_levels(g.levels))
 
 
 def dist(g: GroupElement, h: GroupElement) -> float:
     """Left-invariant homogeneous distance ||g^{-1} h||."""
     _check_compatible(g, h)
-    return float(_hom_norm_levels(_mul_levels(_inv_levels(g.levels), h.levels)))
+    return float(hom_norm_levels(_mul_levels(_inv_levels(g.levels), h.levels)))
 
 
 def bracket_iij_tensor(i: int, j: int, dim: int) -> LieElement:

@@ -10,12 +10,14 @@ dissections of the grid, by exact dynamic programming in O(n^2) after an
 O(n^2) table of pairwise increment distances, or by explicit enumeration of
 all 2^(n-1) dissections for cross-checks on small grids.
 
-``pair_dist_table`` builds that table for level-stacked paths with any
-leading batch axes (the experiment runners pass all samples at once): Chen's
-identity gives every node-pair increment from the node values, the quotient
-X_ij^{-1} Y_ij is formed in difference form, and the plain max-level norm is
-taken, which equals the symmetrized norm on these group-like increments.
-``_dp_max_sum`` takes the same batch axes.
+This module's part of the batch layer (see ``tensor_group``) takes
+level-stacked paths with any leading batch axes (the experiment runners pass
+all samples at once).  ``reduce_pair_dists`` builds the node-pair distance
+table a bounded chunk of samples at a time and hands it to reductions such as
+``pvar_batch`` and ``holder_batch``.  Chen's identity gives every node-pair
+increment from the node values, the quotient X_ij^{-1} Y_ij is formed in
+difference form, and the plain max-level norm is taken, which equals the
+symmetrized norm on these group-like increments.
 
 The 2D functional for a covariance matrix R maximizes
 sum_{i,j} |rect increment of R over cell (i,j)|^rho over a single dissection
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,9 +65,11 @@ __all__ = [
 _BRUTE_MAX_SEGMENTS = 14
 BRUTE_MAX_2D = 10
 _HILLCLIMB_RESTARTS = 8
-# Bytes allowed for one top-level array of node-pair increments: pair_dist_table
-# processes its batch in chunks of samples that fit.
+# Bytes allowed for one top-level array of node-pair increments, and for one
+# table of node-pair distances: reduce_pair_dists processes its batch in chunks
+# of samples that fit.
 _PAIR_CHUNK_BYTES = 1 << 20
+_TABLE_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -114,16 +118,21 @@ def _left_quotient(x: list[np.ndarray], y: list[np.ndarray]) -> list[np.ndarray]
     return z
 
 
-def pair_dist_table(x: Sequence[np.ndarray], y: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """Distances d(X_{t_i,t_j}, Y_{t_i,t_j}) for all node pairs i < j.
+def reduce_pair_dists(
+    x: Sequence[np.ndarray],
+    y: Sequence[np.ndarray] | None,
+    *reductions: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, ...]:
+    """Reductions of the node-pair distance table d(X_{t_i,t_j}, Y_{t_i,t_j}).
 
     ``x`` and ``y`` are level-stacked group paths with any leading batch axes:
     level k has shape ``batch + (n_nodes,) + (d,)*k`` (level 0 is ignored and
-    taken to be 1).  Returns ``batch + (n_nodes, n_nodes)``, zero on and below
-    the diagonal; ``y=None`` compares against the constant path, i.e. gives
-    ||X_{t_i,t_j}||.  The increments X_ij = X_i^{-1} (x) X_j and the quotient
-    X_ij^{-1} (x) Y_ij both come from ``_left_quotient``; the norm is the plain
-    max-level norm (see the module docstring).
+    taken to be 1); ``y=None`` compares against the constant path, i.e. gives
+    ||X_{t_i,t_j}||.  Each reduction maps the table of a chunk of samples,
+    ``(chunk, n_nodes, n_nodes)`` and zero on and below the diagonal, to
+    ``(chunk,) + tail``; the call returns one ``batch + tail`` array each.
+    The increments X_ij = X_i^{-1} (x) X_j and the quotient X_ij^{-1} (x) Y_ij
+    both come from ``_left_quotient``.
     """
     depth = len(x) - 1
     n, d = x[1].shape[-2], x[1].shape[-1]
@@ -136,23 +145,54 @@ def pair_dist_table(x: Sequence[np.ndarray], y: Sequence[np.ndarray] | None = No
         for g in ([x] if y is None else [x, y])
     ]
     chunk = max(1, _PAIR_CHUNK_BYTES // (8 * i_idx.size * d**depth))
-    out = np.zeros((size, n, n))
-    for lo in range(0, size, chunk):
-        rows = slice(lo, lo + chunk)
-        # np.take keeps the gathered pairs contiguous along the last axis.
-        inc = [
-            _left_quotient(
-                [np.take(lv[:, rows], i_idx, axis=-1) for lv in g],
-                [np.take(lv[:, rows], j_idx, axis=-1) for lv in g],
-            )
-            for g in flat
-        ]
-        z = inc[0] if y is None else _left_quotient(inc[0], inc[1])
-        dist = np.zeros(z[0].shape[1:])
-        for k, lv in enumerate(z, start=1):
-            dist = np.maximum(dist, np.sqrt(np.sum(lv * lv, axis=0)) ** (1.0 / k))
-        out[rows, i_idx, j_idx] = dist
-    return out.reshape(batch + (n, n))
+    # Whole chunks fill a table of up to _TABLE_CHUNK_BYTES before it is
+    # reduced, so a reduction's per-call cost is paid once per table.
+    group = chunk * max(1, _TABLE_CHUNK_BYTES // (8 * n * n * chunk))
+    parts: list[list[np.ndarray]] = [[] for _ in reductions]
+    for lo in range(0, size, group):
+        table = np.zeros((min(group, size - lo), n, n))
+        for at in range(0, table.shape[0], chunk):
+            rows = slice(lo + at, lo + at + chunk)
+            # np.take keeps the gathered pairs contiguous along the last axis.
+            inc = [
+                _left_quotient(
+                    [np.take(lv[:, rows], i_idx, axis=-1) for lv in g],
+                    [np.take(lv[:, rows], j_idx, axis=-1) for lv in g],
+                )
+                for g in flat
+            ]
+            z = inc[0] if y is None else _left_quotient(inc[0], inc[1])
+            dist = np.zeros(z[0].shape[1:])
+            for k, lv in enumerate(z, start=1):
+                dist = np.maximum(dist, np.sqrt(np.sum(lv * lv, axis=0)) ** (1.0 / k))
+            table[at : at + chunk, i_idx, j_idx] = dist
+        for part, reduce in zip(parts, reductions):
+            part.append(reduce(table))
+    return tuple(np.concatenate(part).reshape(batch + part[0].shape[1:]) for part in parts)
+
+
+def pair_dist_table(x: Sequence[np.ndarray], y: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """The whole table of ``reduce_pair_dists``: ``batch + (n_nodes, n_nodes)``."""
+    return reduce_pair_dists(x, y, lambda table: table)[0]
+
+
+def pvar_batch(table: np.ndarray, p: float) -> np.ndarray:
+    """p-variation from node-pair distance tables with any leading batch axes:
+    the max over dissections of sum d^p, to the power 1/p, by exact DP."""
+    cost = table**p
+    # best[..., j] = max over dissections of nodes 0..j.
+    best = np.zeros(cost.shape[:-1])
+    for j in range(1, cost.shape[-1]):
+        best[..., j] = np.max(best[..., :j] + cost[..., :j, j], axis=-1)
+    return best[..., -1] ** (1.0 / p)
+
+
+def holder_batch(table: np.ndarray, times: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha-Holder value max_{i<j} d_ij / (t_j - t_i)^alpha from node-pair
+    distance tables with any leading batch axes."""
+    i_idx, j_idx = np.triu_indices(times.size, k=1)
+    gaps = times[j_idx] - times[i_idx]
+    return np.max(table[..., i_idx, j_idx] / gaps**alpha, axis=-1)
 
 
 def _check_shared_grid(x: GroupPath, y: GroupPath | None) -> None:
@@ -162,15 +202,6 @@ def _check_shared_grid(x: GroupPath, y: GroupPath | None) -> None:
         raise ValueError("paths must share the same time grid")
     if x.dim != y.dim or x.depth != y.depth:
         raise ValueError("paths must share dim and depth")
-
-
-def _dp_max_sum(cost: np.ndarray) -> np.ndarray:
-    # cost[..., i, j] for i < j; best[..., j] = max over dissections of 0..j.
-    n = cost.shape[-1]
-    best = np.zeros(cost.shape[:-1])
-    for j in range(1, n):
-        best[..., j] = np.max(best[..., :j] + cost[..., :j, j], axis=-1)
-    return best[..., -1]
 
 
 def _brute_max_sum(cost: np.ndarray) -> float:
@@ -194,16 +225,14 @@ def pvar_dist(x: GroupPath, y: GroupPath | None, p: float, mode: str = "dp") -> 
     if not 1.0 <= p < math.inf:
         raise ValueError("p must be finite and >= 1")
     _check_shared_grid(x, y)
-    cost = pair_dist_table(x.levels, None if y is None else y.levels) ** p
+    table = pair_dist_table(x.levels, None if y is None else y.levels)
     if mode == "dp":
-        value = float(_dp_max_sum(cost))
-    elif mode == "brute":
-        if x.grid.n_segments > _BRUTE_MAX_SEGMENTS:
-            raise ValueError(f"brute mode is limited to {_BRUTE_MAX_SEGMENTS} segments")
-        value = _brute_max_sum(cost)
-    else:
+        return float(pvar_batch(table, p))
+    if mode != "brute":
         raise ValueError(f"unknown mode {mode!r}")
-    return value ** (1.0 / p)
+    if x.grid.n_segments > _BRUTE_MAX_SEGMENTS:
+        raise ValueError(f"brute mode is limited to {_BRUTE_MAX_SEGMENTS} segments")
+    return _brute_max_sum(table**p) ** (1.0 / p)
 
 
 def pvar_norm(x: GroupPath, p: float, mode: str = "dp") -> float:
@@ -216,11 +245,8 @@ def holder_dist(x: GroupPath, y: GroupPath | None, alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     _check_shared_grid(x, y)
-    d = pair_dist_table(x.levels, None if y is None else y.levels)
-    n = x.grid.n_nodes
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    gaps = x.grid.times[j_idx] - x.grid.times[i_idx]
-    return float(np.max(d[i_idx, j_idx] / gaps**alpha))
+    table = pair_dist_table(x.levels, None if y is None else y.levels)
+    return float(holder_batch(table, x.grid.times, alpha))
 
 
 def holder_norm(x: GroupPath, alpha: float) -> float:

@@ -46,7 +46,7 @@ from gaussrough import (
     young_integral_quadratic,
 )
 from gaussrough.experiments import _max_z, _ols_slope
-from gaussrough.gaussian_process import _sample_values
+from gaussrough.gaussian_process import sample_values
 from gaussrough.karhunen_loeve import _residual_rect_integrand
 from conftest import random_group, random_lie, random_path
 
@@ -202,7 +202,7 @@ def _conditional_setup(hurst, n, kept, seed):
     grid = uniform_grid(n)
     r = cov_matrix(CovKernel.fbm(hurst), grid)
     basis = kl_decompose(r)
-    vals = _sample_values(r, 2, 1, seed=seed)[0]
+    vals = sample_values(r, 2, 1, seed=seed)[0]
     x = SamplePath(grid, vals)
     a = IndexSet.prefix(kept)
     proj = project(x, [basis, basis], a)
@@ -328,13 +328,13 @@ def test_criterion_11_levy_area():
     t0 = time.time()
     n, total, chunk = 1024, 100_000, 2000
     r = cov_matrix(CovKernel.brownian(), uniform_grid(n))
-    from gaussrough.path_lift import _lift_values
+    from gaussrough.path_lift import lift_values
 
     area_sq = np.empty(total)
     x12_sq = np.empty(total)
     for start in range(0, total, chunk):
-        vals = _sample_values(r, 2, chunk, seed=111, first=start)
-        levels = _lift_values(vals, 2)
+        vals = sample_values(r, 2, chunk, seed=111, first=start)
+        levels = lift_values(vals, 2)
         end2 = levels[2][:, -1]
         area = 0.5 * (end2[:, 0, 1] - end2[:, 1, 0])
         area_sq[start : start + chunk] = area**2
@@ -360,7 +360,7 @@ def test_criterion_12_young_wiener_scaling():
     r = cov_matrix(CovKernel.brownian(), grid)
     basis = kl_decompose(r)
     count = fx["samples"]
-    paths = _sample_values(r, 1, count, seed=112)[:, 0, :]
+    paths = sample_values(r, 1, count, seed=112)[:, 0, :]
     incs = np.diff(paths, axis=1)
     pinned = False
     lengths, moments = [], []

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,21 @@ def test_run_pvar_rows():
     assert all(r.value > 0 for r in recs)
 
 
+def test_run_pvar_memory_bounded_in_samples():
+    # The distance table of all 400 samples takes 51 MiB, and its p-th power
+    # as much again; reduced chunk by chunk, one 4 MiB table, its power and the
+    # 1 MiB increment arrays of one chunk are alive at a time.
+    cfg = base("pvar", p=3.0, samples=400, d=1, n=128)
+    tracemalloc.start()
+    try:
+        recs = run_pvar(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == 400
+    assert peak < 24 * 2**20, peak
+
+
 def test_run_convergence_kl_statistics_present():
     cfg = base(
         "convergence", p=2.5, q=2.0, samples=12, m=[2, 4, 6], d=1, n=8
@@ -346,6 +362,13 @@ def test_cli_config_error_exit_2(tmp_path):
 
 
 BROWNIAN = {"kernel": {"kind": "brownian"}, "n": 8, "seed": 0}
+# Table kernels on the nodes 0, 0.5, 1: Brownian min(s, t), all zero (rank 0),
+# and h h^T with h = (0, 1, 2) (rank 1 on three nodes).
+_TABLES = {
+    "valid": "0,0.5,1\n0,0,0\n0,0.5,0.5\n0,0.5,1\n",
+    "zero": "0,0.5,1\n0,0,0\n0,0,0\n0,0,0\n",
+    "rank1": "0,0.5,1\n0,0,0\n0,1,2\n0,2,4\n",
+}
 PVAR = dict(BROWNIAN, p=3.0, samples=2)
 KLCONV = dict(BROWNIAN, d=2, p=3.0, q=2, samples=2, m=[2])
 
@@ -423,6 +446,20 @@ def test_cli_data_error_exit_3(tmp_path):
         {"kernel": {"kind": "table", "path": str(table)}, "n": 2, "seed": 0, "samples": 2},
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("sub", ["uniform-modulus", "twovar-bound"])
+def test_cli_rank_zero_covariance_exit_3(tmp_path, capsys, sub):
+    # An all-zero table kernel leaves no KL mode to draw a random mode set from.
+    table = tmp_path / "cov.csv"
+    table.write_text(_TABLES["zero"])
+    config = dict(BROWNIAN, n=4, kernel={"kind": "table", "path": str(table)})
+    if sub == "uniform-modulus":
+        config["samples"] = 2
+    code, out = run_cli(tmp_path, sub, config)
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("data error: ")
 
 
 def test_cli_non_finite_statistic_exit_3(tmp_path, capsys):
@@ -605,6 +642,7 @@ def test_cli_fuzz_exit_codes(data):
             st.just({"kind": "brownian"}),
             st.one_of(st.floats(0.3, 0.95), st.floats(0.05, 0.3)).map(
                 lambda h: {"kind": "fbm", "hurst": h}),
+            st.sampled_from(sorted(_TABLES)).map(lambda name: {"kind": "table", "path": name}),
         )),
         "n": data.draw(st.integers(1, 8)),
         "seed": data.draw(st.integers(0, 2**32)),
@@ -620,6 +658,11 @@ def test_cli_fuzz_exit_codes(data):
     ext = data.draw(st.sampled_from([".csv", ".json"]))
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / ("out" + ext)
+        kernel = config.get("kernel")
+        if isinstance(kernel, dict) and kernel.get("path") in _TABLES:
+            table = Path(tmp) / "cov.csv"
+            table.write_text(_TABLES[kernel["path"]])
+            config["kernel"] = dict(kernel, path=str(table))
         cfg_path.write_text(json.dumps(config))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

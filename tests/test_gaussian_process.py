@@ -10,7 +10,7 @@ from gaussrough import (
     sample,
     uniform_grid,
 )
-from gaussrough.gaussian_process import _sample_values
+from gaussrough.gaussian_process import sample_values
 
 
 def test_brownian_kernel_values():
@@ -122,10 +122,12 @@ def test_sampling_chunked_matches_full():
     # Draw k depends only on (seed, k), so chunked generation agrees
     # with one shot regardless of the split.
     r = cov_matrix(CovKernel.fbm(0.4), uniform_grid(6))
-    full = _sample_values(r, 2, 5, seed=11)
-    head = _sample_values(r, 2, 2, seed=11, first=0)
-    tail = _sample_values(r, 2, 3, seed=11, first=2)
+    full = sample_values(r, 2, 5, seed=11)
+    head = sample_values(r, 2, 2, seed=11, first=0)
+    tail = sample_values(r, 2, 3, seed=11, first=2)
     assert np.array_equal(full, np.concatenate([head, tail], axis=0))
+    # The three calls share one factorization, made on first use.
+    assert r.factor is r.factor
 
 
 def test_sampling_starts_at_zero():
@@ -147,7 +149,7 @@ def test_empirical_covariance():
     grid = uniform_grid(n)
     r = cov_matrix(CovKernel.brownian(), grid)
     count = 4000
-    vals = _sample_values(r, 1, count, seed=123)[:, 0, :]
+    vals = sample_values(r, 1, count, seed=123)[:, 0, :]
     emp = vals.T @ vals / count
     # Var(X_s X_t) <= 2 sup R^2 = 2 here, so 5 sigma is ~0.11.
     assert np.max(np.abs(emp - r.entries)) <= 5.0 * np.sqrt(2.0 / count)
@@ -156,7 +158,7 @@ def test_empirical_covariance():
 def test_components_independent():
     r = cov_matrix(CovKernel.brownian(), uniform_grid(4))
     count = 4000
-    vals = _sample_values(r, 2, count, seed=9)
+    vals = sample_values(r, 2, count, seed=9)
     cross = vals[:, 0, -1] * vals[:, 1, -1]
     se = np.std(cross) / np.sqrt(count)
     assert abs(np.mean(cross)) <= 5.0 * se

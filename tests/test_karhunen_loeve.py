@@ -21,7 +21,7 @@ from gaussrough import (
     signature_increment,
     uniform_grid,
 )
-from gaussrough.gaussian_process import _sample_values
+from gaussrough.gaussian_process import sample_values
 
 
 def brownian_basis(n):
@@ -88,7 +88,7 @@ def test_coefficients_standardized_against_sampling():
     r = cov_matrix(CovKernel.brownian(), uniform_grid(n))
     basis = kl_decompose(r)
     count = 3000
-    vals = _sample_values(r, 1, count, seed=77)[:, 0, :]
+    vals = sample_values(r, 1, count, seed=77)[:, 0, :]
     z = np.stack([coefficients(v, basis) for v in vals])
     var = np.var(z, axis=0)
     se = np.sqrt(2.0 / count)
@@ -99,7 +99,7 @@ def test_project_full_set_is_identity(rng):
     n = 10
     r = cov_matrix(CovKernel.brownian(), uniform_grid(n))
     basis = kl_decompose(r)
-    vals = _sample_values(r, 2, 1, seed=3)[0]
+    vals = sample_values(r, 2, 1, seed=3)[0]
     x = SamplePath(uniform_grid(n), vals)
     full = IndexSet.prefix(basis.rank)
     y = project(x, [basis, basis], full)
@@ -110,7 +110,7 @@ def test_project_idempotent_and_complement(rng):
     n = 12
     r = cov_matrix(CovKernel.fbm(0.35), uniform_grid(n))
     basis = kl_decompose(r)
-    vals = _sample_values(r, 1, 1, seed=4)[0]
+    vals = sample_values(r, 1, 1, seed=4)[0]
     x = SamplePath(uniform_grid(n), vals)
     a = IndexSet.of([0, 2, 5])
     pa = project(x, [basis], a)
@@ -126,7 +126,7 @@ def test_project_translation_identity():
     n = 10
     r = cov_matrix(CovKernel.brownian(), uniform_grid(n))
     basis = kl_decompose(r)
-    vals = _sample_values(r, 1, 1, seed=6)[0]
+    vals = sample_values(r, 1, 1, seed=6)[0]
     x = SamplePath(uniform_grid(n), vals)
     a = IndexSet.prefix(3)
     b = IndexSet.of(range(3, 7))
@@ -190,7 +190,7 @@ def test_level2_double_sum_matches_lift():
     grid = uniform_grid(n)
     r = cov_matrix(CovKernel.fbm(0.4), grid)
     basis = kl_decompose(r)
-    vals = _sample_values(r, 2, 1, seed=12)[0]
+    vals = sample_values(r, 2, 1, seed=12)[0]
     a = IndexSet.of([0, 1, 4, 6])
     x = SamplePath(grid, vals)
     proj = project(x, [basis, basis], a)
@@ -217,7 +217,7 @@ def test_level3_correction_full_set_is_zero():
     grid = uniform_grid(n)
     r = cov_matrix(CovKernel.fbm(0.4), grid)
     basis = kl_decompose(r)
-    vals = _sample_values(r, 2, 1, seed=13)[0]
+    vals = sample_values(r, 2, 1, seed=13)[0]
     full = IndexSet.prefix(basis.rank)
     x = SamplePath(grid, vals)
     corr = level3_correction([basis, basis], full, x, 0, n)
@@ -231,7 +231,7 @@ def test_level3_correction_scalar_component_is_zero():
     grid = uniform_grid(n)
     r = cov_matrix(CovKernel.brownian(), grid)
     basis = kl_decompose(r)
-    vals = _sample_values(r, 1, 1, seed=14)[0]
+    vals = sample_values(r, 1, 1, seed=14)[0]
     a = IndexSet.prefix(2)
     corr = level3_correction([basis], a, SamplePath(grid, vals), 0, n)
     assert np.max(np.abs(corr.levels[3])) <= 1e-12
@@ -242,7 +242,7 @@ def test_level3_correction_empty_window_is_zero():
     grid = uniform_grid(n)
     r = cov_matrix(CovKernel.brownian(), grid)
     basis = kl_decompose(r)
-    vals = _sample_values(r, 2, 1, seed=15)[0]
+    vals = sample_values(r, 2, 1, seed=15)[0]
     a = IndexSet.prefix(2)
     corr = level3_correction([basis, basis], a, SamplePath(grid, vals), 3, 3)
     assert np.max(np.abs(corr.levels[3])) <= 1e-15
@@ -255,7 +255,7 @@ def test_conditional_log_full_set_is_deterministic():
     grid = uniform_grid(n)
     r = cov_matrix(CovKernel.fbm(0.45), grid)
     basis = kl_decompose(r)
-    vals = _sample_values(r, 2, 1, seed=16)[0]
+    vals = sample_values(r, 2, 1, seed=16)[0]
     full = IndexSet.prefix(basis.rank)
     x = SamplePath(grid, vals)
     mean, se = conditional_log_mc([basis, basis], full, x, 2, 7, count=8, seed=1)
@@ -269,7 +269,7 @@ def test_conditional_log_deterministic_in_seed():
     grid = uniform_grid(n)
     r = cov_matrix(CovKernel.brownian(), grid)
     basis = kl_decompose(r)
-    vals = _sample_values(r, 2, 1, seed=17)[0]
+    vals = sample_values(r, 2, 1, seed=17)[0]
     a = IndexSet.prefix(3)
     x = SamplePath(grid, vals)
     m1, s1 = conditional_log_mc([basis, basis], a, x, 0, n, count=50, seed=5)
@@ -286,7 +286,7 @@ def test_conditional_log_level1_matches_projection():
     grid = uniform_grid(n)
     r = cov_matrix(CovKernel.brownian(), grid)
     basis = kl_decompose(r)
-    vals = _sample_values(r, 2, 1, seed=18)[0]
+    vals = sample_values(r, 2, 1, seed=18)[0]
     a = IndexSet.prefix(4)
     x = SamplePath(grid, vals)
     proj = project(x, [basis, basis], a)
@@ -302,7 +302,7 @@ def test_error_paths():
     grid = uniform_grid(n)
     r = cov_matrix(CovKernel.brownian(), grid)
     basis = kl_decompose(r)
-    vals = _sample_values(r, 2, 1, seed=19)[0]
+    vals = sample_values(r, 2, 1, seed=19)[0]
     x = SamplePath(grid, vals)
     with pytest.raises(ValueError):
         project(x, [basis], IndexSet.prefix(2))

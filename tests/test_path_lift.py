@@ -224,13 +224,13 @@ def test_sample_path_validation():
 def test_lift_values_equals_iterated_segment_products(rng):
     # The Chen cumulative sums reproduce the left-to-right product of segment
     # exponentials node by node, for any leading batch axes.
-    from gaussrough.path_lift import _lift_values
+    from gaussrough.path_lift import lift_values
 
     n = 6
     for d in (1, 2, 3):
         for depth in (1, 2, 3):
             values = np.cumsum(rng.standard_normal((2, 3, d, n + 1)), axis=-1) / np.sqrt(n)
-            levels = _lift_values(values, depth)
+            levels = lift_values(values, depth)
             assert [lv.shape for lv in levels] == [(2, 3, n + 1) + (d,) * k for k in range(depth + 1)]
             for b in np.ndindex(2, 3):
                 g = identity(d, depth)
@@ -241,3 +241,14 @@ def test_lift_values_equals_iterated_segment_products(rng):
                     for k in range(depth + 1):
                         err = np.max(np.abs(levels[k][b + (m,)] - g.levels[k]))
                         assert err <= 1e-13, (d, depth, b, m, k, err)
+
+
+def test_lift_values_rejects_depth_outside_1_to_3():
+    from gaussrough.path_lift import lift_values
+
+    values = np.zeros((2, 5))
+    for depth in (0, 4):
+        with pytest.raises(ValueError):
+            lift_values(values, depth)
+        with pytest.raises(ValueError):
+            lift_pl(SamplePath(uniform_grid(4), values), depth)

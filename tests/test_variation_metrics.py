@@ -22,8 +22,13 @@ from gaussrough import (
     signature_increment,
     uniform_grid,
 )
-from gaussrough.path_lift import _lift_values
-from gaussrough.variation_metrics import _dp_max_sum, pair_dist_table
+from gaussrough.path_lift import lift_values
+from gaussrough.variation_metrics import (
+    holder_batch,
+    pair_dist_table,
+    pvar_batch,
+    reduce_pair_dists,
+)
 from conftest import random_path
 
 
@@ -366,7 +371,7 @@ def test_rho_var_validation():
 
 def batch_lift(rng, batch, d, n, depth):
     values = np.cumsum(rng.standard_normal(batch + (d, n + 1)), axis=-1) / np.sqrt(n)
-    return _lift_values(values, depth)
+    return lift_values(values, depth)
 
 
 def test_pair_dist_table_matches_public_dist(rng):
@@ -410,16 +415,23 @@ def test_pair_dist_table_chunks_bit_identical(rng, monkeypatch):
     x = batch_lift(rng, (3, 2), d, n, depth)
     y = batch_lift(rng, (3, 2), d, n, depth)
     whole = [pair_dist_table(x, y), pair_dist_table(x)]
+    times = uniform_grid(n).times
+    reductions = (lambda t: pvar_batch(t, 2.5), lambda t: holder_batch(t, times, 0.3))
+    reduced = [pvar_batch(whole[0], 2.5), holder_batch(whole[0], times, 0.3)]
     pairs = n * (n + 1) // 2
     for per_chunk in (1, 4):
         monkeypatch.setattr(vm, "_PAIR_CHUNK_BYTES", 8 * pairs * d**depth * per_chunk)
-        assert np.array_equal(pair_dist_table(x, y), whole[0])
-        assert np.array_equal(pair_dist_table(x), whole[1])
+        for per_table in (1, 4, 6):
+            monkeypatch.setattr(vm, "_TABLE_CHUNK_BYTES", 8 * (n + 1) ** 2 * per_table)
+            assert np.array_equal(pair_dist_table(x, y), whole[0])
+            assert np.array_equal(pair_dist_table(x), whole[1])
+            got = reduce_pair_dists(x, y, *reductions)
+            assert all(np.array_equal(g, r) for g, r in zip(got, reduced))
 
 
 def test_dp_max_sum_batched_equals_rows(rng):
     cost = rng.uniform(size=(3, 2, 9, 9))
-    got = _dp_max_sum(cost)
+    got = pvar_batch(cost, 2.5)
     assert got.shape == (3, 2)
     for b in np.ndindex(3, 2):
-        assert got[b] == _dp_max_sum(cost[b])
+        assert got[b] == pvar_batch(cost[b], 2.5)
