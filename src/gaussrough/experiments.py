@@ -41,8 +41,8 @@ from .karhunen_loeve import (
     partial_cov,
     project,
 )
-from .path_lift import SamplePath, lift_values, uniform_grid
-from .tensor_group import hom_norm_levels, log_levels
+from .path_lift import SamplePath, lift_values, signature_at, uniform_grid
+from .tensor_group import group_norm_levels, log_levels
 from .variation_metrics import (
     BRUTE_MAX_2D,
     holder_batch,
@@ -517,11 +517,13 @@ def run_uniform_modulus(cfg: ExperimentConfig) -> list[ResultRecord]:
     # Coefficient-space sampling: one xi block per mode set, shared draws.
     xi = draw_normals(_child_seed(cfg.seed, 1), cfg.samples, (cfg.d, rank))
     per_length = {l: [] for l in lengths}
+    nodes = sorted(set(lengths))
     for sel in sets:
         vals = np.einsum("skm,mt->skt", xi[:, :, sel], basis.h[sel])
-        levels = lift_values(vals, 3)
+        levels = signature_at(vals, 3, nodes)
         for l in lengths:
-            norms = hom_norm_levels([lv[:, l] for lv in levels])
+            # S(0, l) is group-like, so the plain norm is the symmetrized one.
+            norms = group_norm_levels([lv[:, nodes.index(l)] for lv in levels])
             per_length[l].append(norms**2)
     records = []
     log_x, log_y = [], []
@@ -586,8 +588,8 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
         mean_log, se = conditional_log_mc(
             bases, a, x_a, s, t, cfg.samples, _child_seed(cfg.seed, 4, idx)
         )
-        ref_levels = lift_values(x_a.values[:, s : t + 1][None], 3)
-        ref_log = log_levels([lv[0, -1] for lv in ref_levels])
+        ref_levels = signature_at(x_a.values[:, s : t + 1], 3, [t - s])
+        ref_log = log_levels([lv[0] for lv in ref_levels])
         corr = level3_correction(bases, a, x_a, s, t)
         tag = f"{s}-{t}"
         diff1 = mean_log.levels[1] - ref_log[1]
@@ -601,9 +603,12 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
             _record(cfg, f"cond_l3_max_z_nocorr:{tag}", _max_z([diff3_raw], [se[2]]), None, None)
         )
     # Unconditional: the mean log-lift vanishes at every node.
-    _, levels = _sample_levels(r, cfg, cfg.samples, _child_seed(cfg.seed, 5))
-    for t in {cfg.n // 2, cfg.n}:
-        logs = log_levels([lv[:, t] for lv in levels])
+    values = sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 5))
+    targets = {cfg.n // 2, cfg.n}  # iterated in set order, which fixes the record order
+    nodes = sorted(targets)
+    levels = signature_at(values, 3, nodes)
+    for t in targets:
+        logs = log_levels([lv[:, nodes.index(t)] for lv in levels])
         diffs = [np.mean(lv, axis=0) for lv in logs[1:]]
         ses = [np.std(lv, axis=0, ddof=1) / math.sqrt(cfg.samples) for lv in logs[1:]]
         records.append(_record(cfg, f"uncond_max_z:{t}", _max_z(diffs, ses), None, None))

@@ -200,7 +200,11 @@ def sample_values(r: CovMatrix, dim: int, count: int, seed: int, first: int = 0)
     if n_active == 0 or count == 0:
         return out
     z = draw_normals(seed, count, (dim, n_active), first)
-    out[:, :, active] = (z.reshape(count * dim, n_active) @ chol.T).reshape(
+    # A slice write is several times faster than a mask write; the active
+    # nodes are contiguous for Brownian motion and fbm (all but node 0).
+    idx = np.flatnonzero(active)
+    cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == n_active else active
+    out[:, :, cols] = (z.reshape(count * dim, n_active) @ chol.T).reshape(
         count, dim, n_active
     )
     return out

@@ -31,12 +31,13 @@ of the full lift:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .gaussian_process import CovMatrix, DataError, draw_normals
-from .path_lift import SamplePath, TimeGrid, lift_values, young_integral_quadratic
+from .path_lift import SamplePath, TimeGrid, signature_at, young_integral_quadratic
 from .tensor_group import LieElement, bracket_iij_tensor, log_levels, zero
 
 __all__ = [
@@ -66,9 +67,10 @@ class KLBasis:
     def rank(self) -> int:
         return self.eigenvalues.size
 
-    @property
+    @cached_property
     def h(self) -> np.ndarray:
-        """Scaled modes h_k = sqrt(lambda_k) phi_k, one row per mode."""
+        """Scaled modes h_k = sqrt(lambda_k) phi_k, one row per mode, computed
+        on first use and kept."""
         return np.sqrt(self.eigenvalues)[:, None] * self.phi
 
 
@@ -195,27 +197,33 @@ def level2_double_sum(
     return float(zi @ pair_integrals @ zj)
 
 
-def _residual_rect_integrand(
-    rc: np.ndarray, s: int, t: int
+def _rect_integrand(
+    row_t: np.ndarray, row_s: np.ndarray, diag: np.ndarray, off: np.ndarray, s: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Node and midpoint values of u -> rect(rc; [u,t] x [s,u]) on [s, t].
+    """Node and midpoint values of u -> rect(rc; [u,t] x [s,u]) on [s, t], from
+    the entries of a symmetric rc it reads: rows t and s, the diagonal and the
+    first off-diagonal.
 
     Midpoints use the bilinear cell structure of grid covariances:
     rc(mid, v) is the average of the two straddling node values, and
     rc(mid, mid) the average of the four cell corners.
     """
-    n = rc.shape[0] - 1
-    m = np.arange(n + 1)
-    f_nodes = rc[t, m] - rc[t, s] - rc[m, m] + rc[m, s]
-    lo, hi = m[:-1], m[1:]
-    diag_mid = 0.25 * (rc[lo, lo] + rc[lo, hi] + rc[hi, lo] + rc[hi, hi])
+    f_nodes = row_t - row_t[s] - diag + row_s
+    diag_mid = 0.25 * (diag[:-1] + off + off + diag[1:])
     f_mids = (
-        0.5 * (rc[t, lo] + rc[t, hi])
-        - rc[t, s]
+        0.5 * (row_t[:-1] + row_t[1:])
+        - row_t[s]
         - diag_mid
-        + 0.5 * (rc[lo, s] + rc[hi, s])
+        + 0.5 * (row_s[:-1] + row_s[1:])
     )
     return f_nodes, f_mids
+
+
+def _residual_rect_integrand(
+    rc: np.ndarray, s: int, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_rect_integrand`` on a whole residual covariance matrix."""
+    return _rect_integrand(rc[t], rc[:, s], np.diagonal(rc), np.diagonal(rc, 1), s)
 
 
 def level3_correction(
@@ -230,6 +238,8 @@ def level3_correction(
 
     ``x_a`` must lie in the span of the kept modes.  The result is the bracket
     combination described in the module docstring; degrees 1 and 2 vanish.
+    The residual covariance entries it reads come straight from the residual
+    modes, in O(rank * n) per component.
     """
     d = x_a.dim
     if len(bases) != d:
@@ -238,9 +248,12 @@ def level3_correction(
         raise ValueError("need grid nodes 0 <= s <= t")
     cube = np.zeros((d, d, d))
     for i in range(d):
-        rc = partial_cov(bases[i], a.complement(bases[i].rank)).entries
-        f_nodes, f_mids = _residual_rect_integrand(rc, s, t)
-        rect_st = rc[t, t] - rc[t, s] - rc[s, t] + rc[s, s]
+        h = bases[i].h[a.complement(bases[i].rank).as_array()]
+        row_t, row_s = h[:, [t, s]].T @ h
+        diag = np.einsum("kn,kn->n", h, h)
+        off = np.einsum("kn,kn->n", h[:, :-1], h[:, 1:])
+        f_nodes, f_mids = _rect_integrand(row_t, row_s, diag, off, s)
+        rect_st = row_t[t] - row_t[s] - row_s[t] + row_s[s]
         for j in range(d):
             if j == i:
                 continue
@@ -289,8 +302,8 @@ def conditional_log_mc(
         if sizes[c]:
             values[:, c, :] += part @ res_h[c][:, s : t + 1]
 
-    lifted = lift_values(values, 3)
-    logs = log_levels([lv[:, -1] for lv in lifted])
+    lifted = signature_at(values, 3, [t - s])
+    logs = log_levels([lv[:, 0] for lv in lifted])
 
     mean_levels = [np.mean(lv, axis=0) for lv in logs]
     mean_levels[0] = np.zeros(())

@@ -7,9 +7,11 @@ path is the path increment from time 0 (the start value is subtracted).  Chen's
 identity holds exactly: the increment of the lift between two nodes equals the
 lift of the path restricted to those nodes.
 
-``lift_values`` is this module's part of the batch layer (see
-``tensor_group``): it lifts node values of shape ``(..., d, n_nodes)`` for any
-leading batch axes into level-stacked arrays.
+``lift_values`` and ``signature_at`` are this module's part of the batch layer
+(see ``tensor_group``): they lift node values of shape ``(..., d, n_nodes)``
+for any leading batch axes into level-stacked arrays, ``lift_values`` at every
+node (for node-pair tables and ``lift``) and ``signature_at`` at requested
+nodes only, for statistics that read no other node.
 
 ``young_integral_quadratic`` integrates a piecewise-quadratic scalar function
 against a coordinate of a piecewise-linear path with Simpson weights per
@@ -183,6 +185,60 @@ def lift_values(values: np.ndarray, depth: int) -> list[np.ndarray]:
             _times_delta(head, delta, inc)
         np.cumsum(lv, axis=axis, out=lv)
         out.append(lv)
+    return out
+
+
+def _block_sums(left: np.ndarray, right: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    # Running sums of left[..., m] (x) right[..., m] over the segment blocks
+    # between consecutive bounds: (..., p, n_seg), (..., d, n_seg) ->
+    # (..., blocks, p, d).
+    out = np.empty(left.shape[:-2] + (bounds.size - 1, left.shape[-2], right.shape[-2]))
+    for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.matmul(left[..., lo:hi], np.swapaxes(right[..., lo:hi], -1, -2), out=out[..., j, :, :])
+    return np.cumsum(out, axis=-3, out=out)
+
+
+def signature_at(values: np.ndarray, depth: int, nodes: Sequence[int]) -> list[np.ndarray]:
+    """Lift from node 0 read at the given nodes only.
+
+    values: (..., d, n_nodes) -> levels[k]: (..., len(nodes)) + (d,)*k, for
+    depth in 1..3 and nodes sorted, distinct and in 0..n_nodes-1 (possibly
+    none); equal to ``lift_values(values, depth)[k][..., nodes, ...]`` up to
+    rounding.
+
+    With S1(m) = x_m - x_0, level 2 at node t is sum_{m<t} (S1(m) + delta_m/2)
+    (x) delta_m and level 3 is sum_{m<t} A_m (x) delta_m with
+    A_m = S2(m) + (S1(m)/2 + delta_m/6) (x) delta_m.  Each sum is one batched
+    matrix product per block of segments between requested nodes, summed over
+    the blocks; only level 3 needs the running level 2 at every node, which is
+    O(n d^2) per sample instead of the O(n d^3) of a full level-3 lift.  The
+    work runs in the input's component-major layout, segments last, so the
+    elementwise loops run along the long axis.
+    """
+    check_depth(depth)
+    values = np.asarray(values, dtype=float)
+    n_nodes = values.shape[-1]
+    nodes = np.asarray(nodes, dtype=np.intp)
+    if nodes.ndim != 1 or np.any(nodes < 0) or np.any(nodes >= n_nodes) or np.any(np.diff(nodes) <= 0):
+        raise ValueError(f"nodes must be sorted, distinct and in 0..{n_nodes - 1}")
+    delta = np.diff(values, axis=-1)  # (..., d, n_seg)
+    s1 = values - values[..., :1]  # (..., d, n_nodes)
+    d = delta.shape[-2]
+    bounds = np.concatenate(([0], nodes))
+    out = [np.ones(values.shape[:-2] + (nodes.size,)), np.swapaxes(s1[..., nodes], -1, -2)]
+    if depth >= 2:
+        s1 = s1[..., :-1]
+        head = s1 + delta / 2.0
+        out.append(_block_sums(head, delta, bounds))
+    if depth == 3:
+        # A_m in one (..., d, d, n_seg) array: the running level 2 first.
+        a = np.empty(delta.shape[:-2] + (d, d, delta.shape[-1]))
+        a[..., :1] = 0.0
+        np.multiply(head[..., :, None, :-1], delta[..., None, :, :-1], out=a[..., 1:])
+        np.cumsum(a, axis=-1, out=a)
+        a += (s1 / 2.0 + delta / 6.0)[..., :, None, :] * delta[..., None, :, :]
+        flat = a.reshape(a.shape[:-3] + (d * d, a.shape[-1]))
+        out.append(_block_sums(flat, delta, bounds).reshape(out[2].shape + (d,)))
     return out
 
 

@@ -12,17 +12,19 @@ which is equivalent to the Carnot-Caratheodory norm and exactly computable.
 The induced left-invariant distance is dist(g, h) = ||g^{-1} h||.  The public
 per-element API takes the inverse by the general Neumann series, so it also
 serves elements that were never checked to be group-like.  The hot paths
-(``variation_metrics.reduce_pair_dists``) work on increments of lifted paths,
-which are group-like: there the inverse is, level by level, a signed index
-reversal of g, so the symmetrized norm equals the plain max norm
-max_k |pi_k(g)|^(1/k) and they use that.
+(``variation_metrics.reduce_pair_dists``, ``experiments.run_uniform_modulus``)
+work on increments of lifted paths, which are group-like: there the inverse
+is, level by level, a signed index reversal of g, so the symmetrized norm
+equals the plain max norm max_k |pi_k(g)|^(1/k) and they use that.
 
 The public API wraps single elements in frozen dataclasses.  Under it lies
 the package's internal batch layer, shared between modules but not exported:
 level-stacked elements, one array per degree with any leading batch axes
 (level k has shape ``batch + (d,)*k``).  This module contributes
-``check_depth``, ``log_levels`` and ``hom_norm_levels``; ``path_lift``,
-``gaussian_process`` and ``variation_metrics`` name their parts.
+``check_depth``, ``log_levels``, ``hom_norm_levels`` and ``group_norm_levels``
+(the plain norm); ``path_lift`` (``lift_values`` for every node,
+``signature_at`` for a few), ``gaussian_process`` and ``variation_metrics``
+name their parts.
 """
 
 from __future__ import annotations
@@ -124,15 +126,19 @@ def _level_abs(levels: Sequence[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
+def group_norm_levels(g: Sequence[np.ndarray]) -> np.ndarray:
+    """Plain max norm max_k |pi_k(g)|^(1/k) of level-stacked elements,
+    batch-shaped; equal to ``hom_norm_levels`` on group-like elements."""
+    levels = _level_abs(g)
+    best = np.zeros_like(levels[0])
+    for k in range(1, len(levels)):
+        best = np.maximum(best, levels[k] ** (1.0 / k))
+    return best
+
+
 def hom_norm_levels(g: Sequence[np.ndarray]) -> np.ndarray:
     """Symmetrized homogeneous norm of level-stacked elements, batch-shaped."""
-    depth = len(g) - 1
-    fwd = _level_abs(g)
-    bwd = _level_abs(_inv_levels(g))
-    best = np.zeros_like(fwd[0])
-    for k in range(1, depth + 1):
-        best = np.maximum(best, np.maximum(fwd[k], bwd[k]) ** (1.0 / k))
-    return best
+    return np.maximum(group_norm_levels(g), group_norm_levels(_inv_levels(g)))
 
 
 def _dilate_levels(lam: float, g: Sequence[np.ndarray]) -> list[np.ndarray]:

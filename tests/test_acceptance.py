@@ -328,14 +328,14 @@ def test_criterion_11_levy_area():
     t0 = time.time()
     n, total, chunk = 1024, 100_000, 2000
     r = cov_matrix(CovKernel.brownian(), uniform_grid(n))
-    from gaussrough.path_lift import lift_values
+    from gaussrough.path_lift import signature_at
 
     area_sq = np.empty(total)
     x12_sq = np.empty(total)
     for start in range(0, total, chunk):
         vals = sample_values(r, 2, chunk, seed=111, first=start)
-        levels = lift_values(vals, 2)
-        end2 = levels[2][:, -1]
+        levels = signature_at(vals, 2, [n])
+        end2 = levels[2][:, 0]
         area = 0.5 * (end2[:, 0, 1] - end2[:, 1, 0])
         area_sq[start : start + chunk] = area**2
         x12_sq[start : start + chunk] = end2[:, 0, 1] ** 2

@@ -350,6 +350,33 @@ def test_cli_json_output(tmp_path):
     assert data[0]["experiment"] == "rhovar"
 
 
+def test_cli_martingale_check_record_order(tmp_path):
+    # n = 8: the unconditional nodes {4, 8} come in set order, 8 first.
+    pairs = [[3, 3], [5, 6], [0, 8]]
+    code, out = run_cli(
+        tmp_path,
+        "martingale-check",
+        {"kernel": {"kind": "brownian"}, "n": 8, "seed": 1, "d": 3, "samples": 50, "pairs": pairs},
+    )
+    assert code == 0
+    recs = read_records(str(out))
+    want = [
+        f"{stat}:{s}-{t}"
+        for s, t in pairs
+        for stat in ("cond_l1_max_z", "cond_l2_max_z", "cond_l3_max_z", "cond_l3_max_z_nocorr")
+    ]
+    assert [r.statistic for r in recs] == want + ["uncond_max_z:8", "uncond_max_z:4"]
+    assert all(np.isfinite(r.value) for r in recs)
+
+
+def test_cli_uniform_modulus_without_lengths(tmp_path):
+    # n = 1 leaves no default interval length: no rows, exit 0.
+    config = {"kernel": {"kind": "brownian"}, "n": 1, "seed": 0, "samples": 2, "sets": 1}
+    code, out = run_cli(tmp_path, "uniform-modulus", config)
+    assert code == 0
+    assert read_records(str(out)) == []
+
+
 def test_cli_config_error_exit_2(tmp_path):
     code, _ = run_cli(
         tmp_path, "pvar", {"kernel": {"kind": "brownian"}, "n": 8, "seed": 0, "p": 1.5, "samples": 1}

@@ -252,3 +252,36 @@ def test_lift_values_rejects_depth_outside_1_to_3():
             lift_values(values, depth)
         with pytest.raises(ValueError):
             lift_pl(SamplePath(uniform_grid(4), values), depth)
+
+
+def test_signature_at_equals_lift_values_at_nodes(rng):
+    from gaussrough.path_lift import lift_values, signature_at
+
+    for depth in (1, 2, 3):
+        for d in (1, 2, 3):
+            for batch in ((), (5,), (4, 7)):
+                for n in (0, 1, 9):
+                    values = np.cumsum(rng.standard_normal(batch + (d, n + 1)), axis=-1)
+                    full = lift_values(values, depth)
+                    spread = sorted({0, n // 3, min(n // 2 + 1, n), n})
+                    for nodes in ([], [0], [n], sorted({0, n}), [n // 2], spread):
+                        got = signature_at(values, depth, nodes)
+                        assert len(got) == depth + 1
+                        for k in range(depth + 1):
+                            want = full[k][(Ellipsis, nodes) + (slice(None),) * k]
+                            assert got[k].shape == batch + (len(nodes),) + (d,) * k
+                            scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+                            err = float(np.max(np.abs(got[k] - want), initial=0.0)) / scale
+                            assert err <= 1e-13, (depth, d, batch, n, nodes, k, err)
+
+
+def test_signature_at_rejects_bad_depth_and_nodes():
+    from gaussrough.path_lift import signature_at
+
+    values = np.zeros((3, 2, 6))
+    for depth in (0, 4):
+        with pytest.raises(ValueError):
+            signature_at(values, depth, [5])
+    for nodes in ([3, 1], [2, 2], [-1], [6], [0, 6], [[1]]):
+        with pytest.raises(ValueError):
+            signature_at(values, 3, nodes)
