@@ -9,6 +9,7 @@ JSON, anything else CSV.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,7 +21,7 @@ from .experiments import (
     PATH_COLUMNS,
     ConfigError,
     emit,
-    lift_rows,
+    lift_blocks,
     load_config,
     run_2var_bound,
     run_convergence,
@@ -29,14 +30,14 @@ from .experiments import (
     run_rhovar,
     run_translation_check,
     run_uniform_modulus,
-    simulate_rows,
+    simulate_blocks,
 )
 from .gaussian_process import DataError
 
-# subcommand -> (experiment, config -> rows, output columns)
+# subcommand -> (experiment, config -> emit blocks or records, output columns)
 _SUBCOMMANDS = {
-    "simulate": ("simulate", simulate_rows, PATH_COLUMNS),
-    "lift": ("lift", lift_rows, LIFT_COLUMNS),
+    "simulate": ("simulate", simulate_blocks, PATH_COLUMNS),
+    "lift": ("lift", lift_blocks, LIFT_COLUMNS),
     "kl-converge": ("convergence", run_convergence, CSV_COLUMNS),
     "uniform-modulus": ("uniform-modulus", run_uniform_modulus, CSV_COLUMNS),
     "martingale-check": ("martingale", run_martingale_checks, CSV_COLUMNS),
@@ -47,7 +48,8 @@ _SUBCOMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaussrough",
         description="Lifted-Gaussian-path experiments; see the README for config schemas.",
@@ -58,7 +60,11 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", required=True, help="output path (.json for JSON, else CSV)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         try:
@@ -69,13 +75,16 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}") from err
 
-        experiment, rows, columns = _SUBCOMMANDS[args.command]
+        experiment, produce, columns = _SUBCOMMANDS[args.command]
         cfg = load_config(experiment, data, args.seed)
         fmt = "json" if args.out.endswith(".json") else "csv"
         # Non-finite results become data errors (exit 3) where they are
         # produced, so numpy's floating-point warnings would only add lines.
         with np.errstate(all="ignore"):
-            emit(rows(cfg), fmt, args.out, columns)
+            out = produce(cfg)
+            # A record list is one block of complete rows.
+            blocks = [((), out, None)] if columns is CSV_COLUMNS else out
+            emit(blocks, fmt, args.out, columns)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

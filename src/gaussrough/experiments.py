@@ -1,8 +1,9 @@
 """Experiment runners over lifted Gaussian paths, with CSV/JSON emission.
 
-Each runner consumes a validated ExperimentConfig and returns ResultRecords,
-which are rows; ``simulate_rows`` and ``lift_rows`` turn sampled paths into
-rows, and ``emit`` writes any rows under their columns.  All randomness flows
+Each runner consumes a validated ExperimentConfig and returns ResultRecords;
+``simulate_blocks`` and ``lift_blocks`` turn sampled paths into blocks of
+long-format rows that share their labels, and ``emit`` writes any blocks
+under their columns (a record list is one block).  All randomness flows
 through the config seed (per-draw substreams, see gaussian_process), so a
 given config produces byte-identical output files.
 
@@ -66,8 +67,8 @@ __all__ = [
     "run_translation_check",
     "run_simulate",
     "run_lift",
-    "simulate_rows",
-    "lift_rows",
+    "simulate_blocks",
+    "lift_blocks",
     "run_pvar",
     "run_rhovar",
     "emit",
@@ -330,19 +331,63 @@ PATH_COLUMNS = ("sample", "component", "time", "value")
 LIFT_COLUMNS = ("sample", "time", "coordinate", "value")
 
 
-def emit(rows, fmt: str, path: str, columns: tuple[str, ...] = CSV_COLUMNS) -> None:
-    """Write rows (sequences in ``columns`` order) as 'csv' or 'json'.
+class _Lines(list):
+    """A list that ``csv.writer`` can write to: one item per row written."""
 
-    CSV leaves None empty and writes floats with ``repr``, so it round-trips
-    exactly; JSON is a list of objects keyed by the column names.
+    write = list.append
+
+
+def _csv_cells(rows: list[tuple]) -> list[str]:
+    """Each row's CSV cells, each followed by the delimiter.
+
+    The rows have one length.  A cell object that several rows share is
+    formatted once: it is written followed by two empty cells, so that it is
+    not quoted as a lone empty field would be, and cut off after its own
+    delimiter.
     """
-    # Rows may be generated lazily; buffering means a failing runner leaves no file.
+    columns = [[""] * len(rows)]  # keeps one string per row when rows have no cells
+    for column in zip(*rows, strict=True):
+        distinct = {id(x): x for x in column}
+        lines = _Lines()
+        csv.writer(lines, lineterminator="\n").writerows((x, None, None) for x in distinct.values())
+        text = dict(zip(distinct, [line[:-2] for line in lines]))
+        columns.append([text[id(x)] for x in column])
+    return list(map("".join, zip(*columns)))
+
+
+def emit(blocks, fmt: str, path: str, columns: tuple[str, ...] = CSV_COLUMNS) -> None:
+    """Write ``blocks`` as 'csv' or 'json' rows in ``columns`` order.
+
+    A block ``(head, labels, values)`` stands for the rows
+    ``head + label + (value,)``, label by label and value by value, where the
+    labels have one length and the values are floats; with ``values`` None it
+    stands for the rows ``head + label``, so a record list is the one block
+    ``((), records, None)``.  CSV leaves None empty and writes floats with
+    ``repr``, so it round-trips exactly; each head, and each labels list
+    that consecutive blocks share, is formatted once.  JSON is a list of
+    objects keyed by the column names.
+    """
+    # Buffering the whole output means a failing runner leaves no file.
     buf = io.StringIO()
     if fmt == "csv":
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(rows)
+        shared = None
+        for head, labels, values in blocks:
+            if values is None:
+                writer.writerows(head + label for label in labels)
+                continue
+            if labels is not shared:
+                shared, cells = labels, _csv_cells(labels)
+            pre = _csv_cells([head])[0]
+            buf.writelines([f"{pre}{c}{v!r}\n" for c, v in zip(cells, values, strict=True)])
     elif fmt == "json":
+        rows = []
+        for head, labels, values in blocks:
+            if values is None:
+                rows += [head + label for label in labels]
+            else:
+                rows += [head + label + (v,) for label, v in zip(labels, values, strict=True)]
         json.dump([dict(zip(columns, row)) for row in rows], buf, indent=2)
         buf.write("\n")
     else:
@@ -670,31 +715,34 @@ def run_lift(cfg: ExperimentConfig) -> list[np.ndarray]:
     return log_levels(levels)[1:]
 
 
-def simulate_rows(cfg: ExperimentConfig):
-    """``simulate`` output as (sample, component, time, value) rows."""
-    times = uniform_grid(cfg.n).times.tolist()
+def simulate_blocks(cfg: ExperimentConfig) -> list:
+    """``simulate`` output as ``emit`` blocks of (sample, component, time,
+    value) rows: one per sample and component, all sharing the time labels."""
+    labels = [(t,) for t in uniform_grid(cfg.n).times.tolist()]
     values = run_simulate(cfg)
     if not np.isfinite(values).all():
         raise DataError("sampled path values are not finite")
-    for s, sample in enumerate(values):
-        for c, path in enumerate(sample.tolist()):
-            for t, v in zip(times, path):
-                yield s, c, t, v
+    return [
+        ((s, c), labels, path)
+        for s, sample in enumerate(values)
+        for c, path in enumerate(sample.tolist())
+    ]
 
 
-def lift_rows(cfg: ExperimentConfig):
-    """``lift`` output as (sample, time, coordinate, value) rows, degree by
-    degree, then sample, node and coordinate; coordinates read ``L2[0,1]``."""
+def lift_blocks(cfg: ExperimentConfig) -> list:
+    """``lift`` output as ``emit`` blocks of (sample, time, coordinate, value)
+    rows, degree by degree, then sample, node and coordinate; coordinates
+    read ``L2[0,1]``.  The samples of a degree share its labels."""
     times = uniform_grid(cfg.n).times.tolist()
     lifts = run_lift(cfg)
     if not all(np.isfinite(logs).all() for logs in lifts):
         raise DataError("lifted log coordinates are not finite")
+    blocks = []
     for k, logs in enumerate(lifts, start=1):
         names = ["L%d[%s]" % (k, ",".join(map(str, ix))) for ix in np.ndindex(logs.shape[2:])]
-        for s, sample in enumerate(logs):
-            for t, coords in zip(times, sample.reshape(len(times), -1).tolist()):
-                for name, v in zip(names, coords):
-                    yield s, t, name, v
+        labels = [(t, name) for t in times for name in names]
+        blocks += [((s,), labels, sample.ravel().tolist()) for s, sample in enumerate(logs)]
+    return blocks
 
 
 def run_pvar(cfg: ExperimentConfig) -> list[ResultRecord]:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -141,13 +142,13 @@ def test_emit_round_trip(tmp_path):
                      "kl_pvar_qmean", 0.123456789012345, 0.002, 1),
     ]
     path = tmp_path / "out.csv"
-    emit(records, "csv", str(path))
+    emit([((), records, None)], "csv", str(path))
     back = read_records(str(path))
     assert back == records
-    emit(records, "csv", str(tmp_path / "again.csv"))
+    emit([((), records, None)], "csv", str(tmp_path / "again.csv"))
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
     jpath = tmp_path / "out.json"
-    emit(records, "json", str(jpath))
+    emit([((), records, None)], "json", str(jpath))
     data = json.loads(jpath.read_text())
     assert data[0]["statistic"] == "rho_var_2d_fullgrid"
     assert data[1]["value"] == 0.123456789012345
@@ -155,10 +156,50 @@ def test_emit_round_trip(tmp_path):
 
 def test_emit_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    emit([], "csv", str(path))
+    emit([((), [], None)], "csv", str(path))
     assert read_records(str(path)) == []
     text = path.read_text()
     assert text.startswith("experiment,") and text.count("\n") == 1
+
+
+def _row_writer_text(rows, columns, fmt):
+    """Reference: the row-at-a-time writer that ``emit`` replaced."""
+    buf = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+    else:
+        json.dump([dict(zip(columns, row)) for row in rows], buf, indent=2)
+        buf.write("\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_blocks_match_row_writer(tmp_path, fmt):
+    columns = ("a", "b", "c", "value")
+    shared = [(0.0, "L1[0]"), (0.5, "L2[0,1]"), (1.0, 'q"uote')]
+    blocks = [
+        ((0,), shared, [0.0, -0.0, 1e-300]),
+        ((1,), shared, [-1.5, 2.0 / 3.0, 5e300]),
+        ((), [(7, 0.25, "x,y"), (0.0, 1, True), (-0.0, 1.0, 1)], [-0.0, 2.0, 3.0]),
+        ((2, 3), [(None,), ("",)], [1.0, 0.1]),
+        ((4,), [], []),
+        ((5, 6), [(), ()], [0.25, -0.0]),
+        ((), [(8, None, "", 0.5), ("",)], None),
+        ((9,), [(None,)], None),
+    ]
+    rows = [head + label + (() if values is None else (v,))
+            for head, labels, values in blocks
+            for label, v in zip(labels, [None] * len(labels) if values is None else values)]
+    out = tmp_path / f"out.{fmt}"
+    emit(blocks, fmt, str(out), columns)
+    assert out.read_text() == _row_writer_text(rows, columns, fmt)
+    # A block with no labels, or no block at all, leaves only the header.
+    emit([((0,), [], [])], fmt, str(out), columns)
+    assert out.read_text() == _row_writer_text([], columns, fmt)
+    emit([], fmt, str(out), columns)
+    assert out.read_text() == _row_writer_text([], columns, fmt)
 
 
 def test_child_seed_distinct_and_stable():
@@ -563,6 +604,70 @@ def test_cli_path_json_output(tmp_path, name, columns):
     rows = json.loads(json_out.read_text())
     assert len(rows) == len(csv_out.read_text().splitlines()) - 1
     assert all(list(row) == columns for row in rows)
+
+
+def _reference_simulate_rows(cfg):
+    times = uniform_grid(cfg.n).times.tolist()
+    values = run_simulate(cfg)
+    for s, sample in enumerate(values):
+        for c, path in enumerate(sample.tolist()):
+            for t, v in zip(times, path):
+                yield s, c, t, v
+
+
+def _reference_lift_rows(cfg):
+    times = uniform_grid(cfg.n).times.tolist()
+    lifts = run_lift(cfg)
+    for k, logs in enumerate(lifts, start=1):
+        names = ["L%d[%s]" % (k, ",".join(map(str, ix))) for ix in np.ndindex(logs.shape[2:])]
+        for s, sample in enumerate(logs):
+            for t, coords in zip(times, sample.reshape(len(times), -1).tolist()):
+                for name, v in zip(names, coords):
+                    yield s, t, name, v
+
+
+@pytest.mark.parametrize("kernel", ["brownian", "fbm", "table"])
+@pytest.mark.parametrize("name", ["simulate", "lift"])
+def test_cli_long_format_matches_row_writer(tmp_path, name, kernel):
+    # The CLI's CSV and JSON bytes equal the row-at-a-time writer's over the
+    # per-row generators.  The table kernel's middle node has variance zero.
+    table = tmp_path / "cov.csv"
+    table.write_text("0,0.5,1\n0,0,0\n0,0,0\n0,0,1\n")
+    kernels = {"brownian": {"kind": "brownian"}, "fbm": {"kind": "fbm", "hurst": 0.4},
+               "table": {"kind": "table", "path": str(table)}}
+    experiment, _, columns = _SUBCOMMANDS[name]
+    reference = {"simulate": _reference_simulate_rows, "lift": _reference_lift_rows}[name]
+    depths = [1, 2, 3] if name == "lift" else [None]
+    for d, depth, n, samples in itertools.product([1, 2, 3], depths, [1, 5], [0, 2]):
+        config = {"kernel": kernels[kernel], "n": n, "seed": 3, "d": d, "samples": samples}
+        if depth is not None:
+            config["depth"] = depth
+        rows = list(reference(load_config(experiment, config)))
+        assert len(rows) == samples * (n + 1) * (d if depth is None else sum(d**k for k in range(1, depth + 1)))
+        for fmt in ("csv", "json"):
+            code, out = run_cli(tmp_path, name, config, outname=f"out.{fmt}")
+            assert code == 0
+            assert out.read_text() == _row_writer_text(rows, columns, fmt), (config, fmt)
+
+
+def test_cli_parser_reused_after_usage_error(tmp_path, capsys):
+    # The parser is built once per process: a usage error (exit 2) leaves it
+    # fit for the next call, which writes what the same call writes alone.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(BROWNIAN, d=2, samples=2, depth=2)))
+    argv = ["lift", "--config", str(cfg), "--out"]
+    env = dict(os.environ, PYTHONPATH=str(Path(gaussrough.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaussrough.cli", *argv, str(tmp_path / "alone.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert main([*argv, str(tmp_path / "after.csv")]) == 0
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 def test_cli_seed_override_changes_output(tmp_path):
