@@ -571,16 +571,19 @@ def run_uniform_modulus(cfg: ExperimentConfig) -> list[ResultRecord]:
             norms = group_norm_levels([lv[:, nodes.index(l)] for lv in levels])
             per_length[l].append(norms**2)
     records = []
-    log_x, log_y = [], []
+    worst = []
     for l in lengths:
         means = np.array([np.mean(sq) for sq in per_length[l]])
         top = int(np.argmax(means))
         sq = per_length[l][top]
         se = float(np.std(sq, ddof=1) / math.sqrt(sq.size))
         records.append(_record(cfg, "modulus_sq_mean", float(means[top]), se, l))
-        log_x.append(math.log(l / cfg.n))
-        log_y.append(math.log(means[top]))
+        worst.append(float(means[top]))
     if len(set(lengths)) >= 2:
+        if min(worst) <= 0.0:
+            raise DataError("worst mean squared norm is 0 at some length: no log-log slope")
+        log_x = [math.log(l / cfg.n) for l in lengths]
+        log_y = [math.log(v) for v in worst]
         slope, se = _ols_slope(np.array(log_x), np.array(log_y))
         records.append(_record(cfg, "modulus_slope", slope, se, None))
     return records
@@ -595,19 +598,28 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, se
 
 
-def _max_z(diff_levels, se_levels, atol: float = 1e-12) -> float:
-    """Worst |diff|/se over coordinates; differences at rounding scale count
-    as zero (structurally-zero coordinates have rounding-level SEs too)."""
+def _max_z(diff_levels, se_levels, scales=None, rtol: float = 1e-12) -> float:
+    """Worst |diff|/se over coordinates.  A difference of at most rtol times
+    max(1, scale) counts as zero, where scale is the largest absolute
+    coordinate of that level among the values compared (None: unit scale).
+    Structurally zero coordinates carry rounding differences of that size,
+    over rounding-level standard errors."""
+    if scales is None:
+        scales = [0.0] * len(diff_levels)
     worst = 0.0
-    for diff, se in zip(diff_levels, se_levels):
+    for diff, se, scale in zip(diff_levels, se_levels, scales):
         d = np.abs(np.asarray(diff))
         s = np.asarray(se)
-        mask = d > atol
+        mask = d > rtol * max(1.0, scale)
         if not np.any(mask):
             continue
         with np.errstate(divide="ignore"):
             worst = max(worst, float(np.max(np.where(s[mask] > 0, d[mask] / s[mask], np.inf))))
     return worst
+
+
+def _abs_max(*arrays) -> float:
+    return max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
 
 
 def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
@@ -637,16 +649,15 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
         ref_log = log_levels([lv[0] for lv in ref_levels])
         corr = level3_correction(bases, a, x_a, s, t)
         tag = f"{s}-{t}"
-        diff1 = mean_log.levels[1] - ref_log[1]
-        diff2 = mean_log.levels[2] - ref_log[2]
-        diff3 = mean_log.levels[3] - (ref_log[3] + corr.levels[3])
-        diff3_raw = mean_log.levels[3] - ref_log[3]
-        records.append(_record(cfg, f"cond_l1_max_z:{tag}", _max_z([diff1], [se[0]]), None, None))
-        records.append(_record(cfg, f"cond_l2_max_z:{tag}", _max_z([diff2], [se[1]]), None, None))
-        records.append(_record(cfg, f"cond_l3_max_z:{tag}", _max_z([diff3], [se[2]]), None, None))
-        records.append(
-            _record(cfg, f"cond_l3_max_z_nocorr:{tag}", _max_z([diff3_raw], [se[2]]), None, None)
-        )
+        checks = [
+            ("cond_l1_max_z", mean_log.levels[1], ref_log[1], se[0]),
+            ("cond_l2_max_z", mean_log.levels[2], ref_log[2], se[1]),
+            ("cond_l3_max_z", mean_log.levels[3], ref_log[3] + corr.levels[3], se[2]),
+            ("cond_l3_max_z_nocorr", mean_log.levels[3], ref_log[3], se[2]),
+        ]
+        for name, mean, ref, err in checks:
+            z = _max_z([mean - ref], [err], [_abs_max(mean, ref)])
+            records.append(_record(cfg, f"{name}:{tag}", z, None, None))
     # Unconditional: the mean log-lift vanishes at every node.
     values = sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 5))
     targets = {cfg.n // 2, cfg.n}  # iterated in set order, which fixes the record order
@@ -656,7 +667,8 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
         logs = log_levels([lv[:, nodes.index(t)] for lv in levels])
         diffs = [np.mean(lv, axis=0) for lv in logs[1:]]
         ses = [np.std(lv, axis=0, ddof=1) / math.sqrt(cfg.samples) for lv in logs[1:]]
-        records.append(_record(cfg, f"uncond_max_z:{t}", _max_z(diffs, ses), None, None))
+        scales = [_abs_max(lv) for lv in logs[1:]]
+        records.append(_record(cfg, f"uncond_max_z:{t}", _max_z(diffs, ses, scales), None, None))
     return records
 
 

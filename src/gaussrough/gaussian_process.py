@@ -13,6 +13,13 @@ factorization; they are filled with zeros.  If the reduced matrix still fails
 to factor, the diagonal is jittered once by 1e-12 times its mean and the
 factorization retried; persistent failure raises DataError.
 
+``cov_matrix`` checks positive semidefiniteness with that same factor: a
+plain factorization of the positive-variance block, with every zero-variance
+row exactly zero (node 0 of Brownian motion and fbm), certifies the matrix.
+Only a covariance without this certificate (singular, indefinite, or with a
+zero-variance node coupled to others) pays for ``eigvalsh``, which then
+decides against the tolerance ``_PSD_TOL``.
+
 Reproducibility contract: draw k of a call with seed s uses the generator
 ``np.random.default_rng([s, k])``, so each draw has its own substream and
 results are independent of batching or evaluation order.  ``draw_normals``,
@@ -139,9 +146,9 @@ class CovMatrix:
         object.__setattr__(self, "entries", e)
 
     @cached_property
-    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+    def _plain_factor(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(mask of the nodes with positive variance, lower Cholesky factor of
-        their block), computed on first use and kept."""
+        their block, or None if that factorization fails); no jitter."""
         diag = np.diag(self.entries)
         scale = max(float(np.max(diag, initial=0.0)), 1.0)
         active = diag > _ZERO_VAR_TOL * scale
@@ -151,7 +158,17 @@ class CovMatrix:
         try:
             return active, np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
-            pass
+            return active, None
+
+    @cached_property
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mask of the nodes with positive variance, lower Cholesky factor of
+        their block), computed on first use and kept.  Only if the plain
+        factorization fails is the block's diagonal jittered and refactored."""
+        active, chol = self._plain_factor
+        if chol is not None:
+            return active, chol
+        block = self.entries[np.ix_(active, active)]
         jitter = _JITTER * float(np.mean(np.diag(block)))
         try:
             return active, np.linalg.cholesky(block + jitter * np.eye(block.shape[0]))
@@ -162,18 +179,32 @@ class CovMatrix:
 def cov_matrix(kernel: CovKernel, grid: TimeGrid) -> CovMatrix:
     """Evaluate a kernel on a grid and check positive semidefiniteness.
 
-    Raises DataError when the smallest eigenvalue is below -1e-10 times
-    max(largest eigenvalue, 1) (table kernels can be arbitrarily bad; the
-    analytic ones cannot).
+    Two routes decide.  If the plain Cholesky factorization of the
+    positive-variance block succeeds and every zero-variance row is exactly
+    zero, the matrix is accepted without an eigenvalue pass, and the factor
+    is kept for sampling.  A successful factorization is the exact factor of
+    a matrix within a backward error of order n u ||R|| of the block (u the
+    unit roundoff; Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3), so the smallest eigenvalue is at least about minus that:
+    6e-14 ||R|| at n = 512, far inside the gate's ``_PSD_TOL`` (1e-10)
+    times max(||R||, 1).  Otherwise ``eigvalsh`` decides: DataError when the
+    smallest eigenvalue is below -1e-10 times max(largest eigenvalue, 1)
+    (table kernels can be arbitrarily bad; the analytic ones cannot).  A
+    matrix that passes this gate but cannot be factored even with jitter
+    fails only when something samples from it.
     """
     t = grid.times
     entries = kernel_eval(kernel, t[:, None], t[None, :])
     entries = 0.5 * (entries + entries.T)
+    r = CovMatrix(grid, entries)
+    active, chol = r._plain_factor
+    if chol is not None and not np.any(entries[~active]):
+        return r
     w = np.linalg.eigvalsh(entries)
     scale = max(float(w[-1]), 0.0)
     if float(w[0]) < -_PSD_TOL * max(scale, 1.0):
         raise DataError(f"covariance is not PSD: min eigenvalue {w[0]:.3e}")
-    return CovMatrix(grid, entries)
+    return r
 
 
 def draw_normals(seed: int, count: int, shape: tuple[int, ...], first: int = 0) -> np.ndarray:

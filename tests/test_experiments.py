@@ -530,6 +530,39 @@ def test_cli_rank_zero_covariance_exit_3(tmp_path, capsys, sub):
     assert len(err.splitlines()) == 1 and err.startswith("data error: ")
 
 
+@pytest.mark.parametrize("seed", [11, 12])
+def test_cli_uniform_modulus_zero_mean_exit_3(tmp_path, capsys, seed):
+    # The path is 0 on [0, 0.5], so every mode set has mean squared norm 0 at
+    # the shortest lengths and the log-log slope is undefined.
+    table = tmp_path / "cov.csv"
+    table.write_text("0,0.5,1\n0,0,0\n0,0,0\n0,0,1\n")
+    config = {"kernel": {"kind": "table", "path": str(table)}, "n": 16, "seed": seed,
+              "d": 2, "samples": 4, "lengths": [1, 2, 4]}
+    code, out = run_cli(tmp_path, "uniform-modulus", config)
+    err = capsys.readouterr().err
+    assert code == 3 and not out.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("data error: ")
+
+
+def test_martingale_check_large_scale_table_z_bounded(tmp_path):
+    # 1e4 x fbm(H=0.3) tabulated on 9 nodes: structurally zero log-lift
+    # coordinates differ by rounding far above an absolute 1e-12, and must
+    # not be scored as signal.
+    nodes = np.linspace(0.0, 1.0, 9)
+    s, t = np.meshgrid(nodes, nodes, indexing="ij")
+    vals = 1e4 * 0.5 * (s**0.6 + t**0.6 - np.abs(t - s) ** 0.6)
+    table = tmp_path / "cov.csv"
+    np.savetxt(table, np.vstack([nodes[None, :], vals]), delimiter=",")
+    kernel = {"kind": "table", "path": str(table)}
+    for seed in range(1, 9):
+        cfg = load_config(
+            "martingale", {"kernel": kernel, "n": 16, "seed": seed, "d": 2, "samples": 60}
+        )
+        for rec in run_martingale_checks(cfg):
+            if rec.statistic.startswith("cond_"):
+                assert rec.value <= 5.0, (seed, rec.statistic, rec.value)
+
+
 def test_cli_non_finite_statistic_exit_3(tmp_path, capsys):
     # p = 1e300 passes validation, but the distances to the power p overflow.
     code, out = run_cli(tmp_path, "pvar", dict(PVAR, p=1e300))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gaussrough import (
     sample,
     uniform_grid,
 )
+from gaussrough.cli import main
 from gaussrough.gaussian_process import sample_values
 
 
@@ -106,6 +109,91 @@ def test_non_psd_table_raises():
     k = CovKernel.from_table(times, vals)
     with pytest.raises(DataError):
         cov_matrix(k, uniform_grid(2))
+
+
+def _eigvalsh_gate(kernel, grid):
+    # The eigenvalue test as cov_matrix states it, on the same entries.
+    t = grid.times
+    e = kernel_eval(kernel, t[:, None], t[None, :])
+    w = np.linalg.eigvalsh(0.5 * (e + e.T))
+    return not float(w[0]) < -1e-10 * max(max(float(w[-1]), 0.0), 1.0)
+
+
+def _accepts(kernel, grid):
+    try:
+        cov_matrix(kernel, grid)
+    except DataError:
+        return False
+    return True
+
+
+def _spectrum_table(seed, size, scale, c):
+    # Random eigenvectors; the smallest eigenvalue is -c times the PSD
+    # tolerance 1e-10 * max(largest eigenvalue, 1).
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    lam = scale * rng.uniform(0.1, 1.0, size)
+    lam[0] = -c * 1e-10 * max(float(np.max(lam)), 1.0)
+    vals = (q * lam) @ q.T
+    return CovKernel.from_table(uniform_grid(size - 1).times, 0.5 * (vals + vals.T))
+
+
+@pytest.mark.parametrize("hurst", [0.02, 0.5, 0.98])
+def test_cov_matrix_fbm_certified_without_eigvalsh(monkeypatch, hurst):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    for n in (1, 2, 7, 64, 257, 512):
+        grid = uniform_grid(n)
+        assert _accepts(CovKernel.fbm(hurst), grid) and calls == []
+        assert _eigvalsh_gate(CovKernel.fbm(hurst), grid)
+        calls.clear()
+
+
+def test_cov_matrix_decision_equals_eigvalsh_gate():
+    decided = []
+    for c in (0.0, 0.5, 0.9, 1.1, 2.0, 10.0):
+        for seed in range(4):
+            for scale in (1e-3, 1.0, 1e3):
+                k = _spectrum_table(seed, 12, scale, c)
+                grid = uniform_grid(11)
+                accept = _accepts(k, grid)
+                assert accept == _eigvalsh_gate(k, grid), (c, seed, scale)
+                decided.append(accept)
+    # Both outcomes occur, so the sweep tests the threshold.
+    assert any(decided) and not all(decided)
+
+
+def test_cov_matrix_zero_variance_row_must_be_zero():
+    # Node 0 has variance 0 but covariance 0.1 with node 1, which makes the
+    # matrix indefinite; the positive-variance block alone is the identity.
+    times = uniform_grid(2).times
+    vals = np.array([[0.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    k = CovKernel.from_table(times, vals)
+    with pytest.raises(DataError, match="not PSD"):
+        cov_matrix(k, uniform_grid(2))
+
+
+def test_cov_matrix_jitter_retry_stays_lazy(tmp_path):
+    # Smallest eigenvalue -5e-11 times the largest: inside the PSD gate, but
+    # beyond what the 1e-12 jitter retry can factor.  Only sampling fails.
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    lam = np.array([1.0, 0.8, 0.5, 0.3, -5e-11])
+    vals = (q * lam) @ q.T
+    vals = 0.5 * (vals + vals.T)
+    times = uniform_grid(4).times
+    table = tmp_path / "cov.csv"
+    np.savetxt(table, np.vstack([times[None, :], vals]), delimiter=",")
+    k = CovKernel.from_table(times, vals)
+    r = cov_matrix(k, uniform_grid(4))
+    with pytest.raises(DataError, match="jitter"):
+        r.factor
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": {"kind": "table", "path": str(table)}, "n": 4, "seed": 0}))
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    assert main(["rhovar", *argv]) == 0
+    assert main(["simulate", *argv]) == 3
 
 
 def test_sampling_deterministic():
