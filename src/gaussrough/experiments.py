@@ -47,6 +47,7 @@ from .tensor_group import group_norm_levels, log_levels
 from .variation_metrics import (
     BRUTE_MAX_2D,
     holder_batch,
+    pair_chunks,
     pvar_batch,
     reduce_pair_dists,
     rho_var_2d,
@@ -483,7 +484,14 @@ def _random_mode_sets(rng: np.random.Generator, rank: int, count: int) -> list[n
 
 
 def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
-    """Kept-mode (kl) or dyadic-refinement convergence of lifted paths."""
+    """Kept-mode (kl) or dyadic-refinement convergence of lifted paths.
+
+    In kl mode every kept-mode count is projected at the level of node values,
+    then the projected and tail paths of all counts are lifted one group of
+    samples at a time (see ``pair_chunks``) and compared as one stack, with
+    the full lift as the shared y; peak memory does not grow with the number
+    of counts.
+    """
     if cfg.mode == "dyadic":
         return _run_dyadic(cfg)
     grid = uniform_grid(cfg.n)
@@ -492,21 +500,28 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
     values, full_levels = _sample_levels(r, cfg, cfg.samples, _child_seed(cfg.seed, 0))
     alpha = cfg.alpha if cfg.alpha is not None else 1.0 / cfg.p
     holder = cfg.kernel.kind in ("brownian", "fbm")
+    reductions = (lambda t: pvar_batch(t, cfg.p), lambda t: holder_batch(t, grid.times, alpha))
 
-    def pvar_and_holder(x, y=None):
-        return reduce_pair_dists(
-            x, y, lambda t: pvar_batch(t, cfg.p), lambda t: holder_batch(t, grid.times, alpha)
-        )
-
-    records = []
-    for a, m in zip(_mode_sets(cfg, basis.rank), cfg.m):
+    sets = _mode_sets(cfg, basis.rank)
+    tail = np.empty((len(sets),) + values.shape)
+    for i, a in enumerate(sets):
         # Projecting onto the dropped modes keeps proj == values exactly at
         # m = rank, where every distance to the full lift is then exactly 0.
         drop = basis.phi[a.complement(basis.rank).as_array()]
-        tail = np.einsum("sct,mt,mu->scu", values, drop, drop, optimize=True)
-        proj = values - tail
-        pvar, hold = pvar_and_holder(lift_values(proj, 3), full_levels)
-        tail_pvar, tail_hold = pvar_and_holder(lift_values(tail, 3))
+        tail[i] = np.einsum("sct,mt,mu->scu", values, drop, drop, optimize=True)
+    _, group = pair_chunks(grid.n_nodes, cfg.d, 3, len(sets), shared=True)
+    parts = []
+    for lo in range(0, cfg.samples, group):
+        rows = slice(lo, lo + group)
+        proj = lift_values(values[rows] - tail[:, rows], 3)
+        parts.append(
+            reduce_pair_dists(proj, [lv[rows] for lv in full_levels], *reductions)
+            + reduce_pair_dists(lift_values(tail[:, rows], 3), None, *reductions)
+        )
+    pvar, hold, tail_pvar, tail_hold = (np.concatenate(p, axis=1) for p in zip(*parts))
+
+    records = []
+    for i, m in enumerate(cfg.m):
         for name, data in (
             ("kl_pvar_qmean", pvar),
             ("kl_tail_pvar_qmean", tail_pvar),
@@ -515,7 +530,7 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
         ):
             if not holder and "holder" in name:
                 continue
-            value, se = _q_mean(data, cfg.q)
+            value, se = _q_mean(data[i], cfg.q)
             records.append(_record(cfg, name, value, se, m))
     return records
 

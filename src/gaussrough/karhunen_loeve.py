@@ -95,8 +95,14 @@ class IndexSet:
         return cls(tuple(items))
 
     def complement(self, rank: int) -> "IndexSet":
-        mine = set(self.indices)
-        return IndexSet(tuple(i for i in range(rank) if i not in mine))
+        """The indices in 0..rank-1 that are not in this set."""
+        keep = np.ones(rank, dtype=bool)
+        mine = self.as_array()
+        keep[mine[mine < rank]] = False
+        # flatnonzero is sorted, distinct and non-negative: nothing to validate.
+        out = object.__new__(IndexSet)
+        object.__setattr__(out, "indices", tuple(np.flatnonzero(keep).tolist()))
+        return out
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=int)

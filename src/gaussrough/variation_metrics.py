@@ -14,10 +14,17 @@ This module's part of the batch layer (see ``tensor_group``) takes
 level-stacked paths with any leading batch axes (the experiment runners pass
 all samples at once).  ``reduce_pair_dists`` builds the node-pair distance
 table a bounded chunk of samples at a time and hands it to reductions such as
-``pvar_batch`` and ``holder_batch``.  Chen's identity gives every node-pair
-increment from the node values, the quotient X_ij^{-1} Y_ij is formed in
-difference form, and the plain max-level norm is taken, which equals the
-symmetrized norm on these group-like increments.
+``pvar_batch`` and ``holder_batch``.  Its x may carry leading stack axes that
+y lacks, to compare a stack of paths (one per kept-mode count, say) with one
+shared y: y's increments are built once per chunk, and the stack's tables of
+a group of chunks are reduced together.  ``pair_chunks`` gives the chunk and
+group sizes: the top level of a chunk's increments, x's and the shared y's,
+which stay alive across the stack, fit in ``_PAIR_CHUNK_BYTES``, and the
+stack's tables of a group in ``_TABLE_CHUNK_BYTES``, so a reduction's
+per-call cost is paid once per group.  Chen's identity gives every node-pair increment from
+the node values, the quotient X_ij^{-1} Y_ij is formed in difference form, and
+the plain max-level norm is taken, which equals the symmetrized norm on these
+group-like increments.
 
 The 2D functional for a covariance matrix R maximizes
 sum_{i,j} |rect increment of R over cell (i,j)|^rho over a single dissection
@@ -65,10 +72,10 @@ __all__ = [
 _BRUTE_MAX_SEGMENTS = 14
 BRUTE_MAX_2D = 10
 _HILLCLIMB_RESTARTS = 8
-# Bytes allowed for one top-level array of node-pair increments, and for one
-# table of node-pair distances: reduce_pair_dists processes its batch in chunks
-# of samples that fit.
-_PAIR_CHUNK_BYTES = 1 << 20
+# Budgets of pair_chunks.  A chunk's working set (gathers, increments and
+# quotient) is a few times its top level; at 256 KiB it stays within a 2 MiB
+# L2 cache, and kl-converge and pvar ran faster than with 1 MiB chunks.
+_PAIR_CHUNK_BYTES = 1 << 18
 _TABLE_CHUNK_BYTES = 4 << 20
 
 
@@ -118,6 +125,14 @@ def _left_quotient(x: list[np.ndarray], y: list[np.ndarray]) -> list[np.ndarray]
     return z
 
 
+def pair_chunks(n_nodes: int, d: int, depth: int, stack: int, shared: bool) -> tuple[int, int]:
+    """Samples per chunk of node-pair increments, and per table group, of
+    ``reduce_pair_dists`` for ``stack`` x paths against a shared y or none."""
+    pairs = n_nodes * (n_nodes - 1) // 2
+    chunk = max(1, _PAIR_CHUNK_BYTES // (8 * pairs * d**depth * (1 + shared)))
+    return chunk, chunk * max(1, _TABLE_CHUNK_BYTES // (8 * n_nodes**2 * chunk * stack))
+
+
 def reduce_pair_dists(
     x: Sequence[np.ndarray],
     y: Sequence[np.ndarray] | None,
@@ -126,49 +141,64 @@ def reduce_pair_dists(
     """Reductions of the node-pair distance table d(X_{t_i,t_j}, Y_{t_i,t_j}).
 
     ``x`` and ``y`` are level-stacked group paths with any leading batch axes:
-    level k has shape ``batch + (n_nodes,) + (d,)*k`` (level 0 is ignored and
-    taken to be 1); ``y=None`` compares against the constant path, i.e. gives
-    ||X_{t_i,t_j}||.  Each reduction maps the table of a chunk of samples,
-    ``(chunk, n_nodes, n_nodes)`` and zero on and below the diagonal, to
-    ``(chunk,) + tail``; the call returns one ``batch + tail`` array each.
-    The increments X_ij = X_i^{-1} (x) X_j and the quotient X_ij^{-1} (x) Y_ij
-    both come from ``_left_quotient``.
+    level k has shape ``batch + (n_nodes,) + (d,)*k`` for y and
+    ``stack + batch + (n_nodes,) + (d,)*k`` for x, whose leading stack axes
+    y lacks: every x of the stack is compared with the same y, whose
+    increments are then built once per chunk of samples.  Level 0 is ignored
+    and taken to be 1.  ``y=None`` compares against the constant path, i.e.
+    gives ||X_{t_i,t_j}||, and every leading axis of x counts as batch.
+
+    The tables of one group of samples (see ``pair_chunks``) are filled
+    together; each reduction maps them, ``(stack size, group, n_nodes,
+    n_nodes)`` and zero on and below the diagonal, to ``(stack size, group) +
+    tail`` in one call.  The call returns one ``stack + batch + tail`` array
+    per reduction.  The increments X_ij = X_i^{-1} (x) X_j and the quotient
+    X_ij^{-1} (x) Y_ij both come from ``_left_quotient``.
     """
     depth = len(x) - 1
     n, d = x[1].shape[-2], x[1].shape[-1]
-    batch = x[1].shape[:-2]
-    size = math.prod(batch)
+    lead = x[1].shape[:-2]
+    batch = lead if y is None else y[1].shape[:-2]
+    stack = lead[: len(lead) - len(batch)]
+    count, size = math.prod(stack), math.prod(batch)
     i_idx, j_idx = np.triu_indices(n, k=1)
-    # Level k as (d**k, size, n_nodes): tensor axis first, nodes last.
-    flat = [
-        [np.moveaxis(lv.reshape((size, n, d**k)), -1, 0) for k, lv in enumerate(g[1:], start=1)]
-        for g in ([x] if y is None else [x, y])
-    ]
-    chunk = max(1, _PAIR_CHUNK_BYTES // (8 * i_idx.size * d**depth))
-    # Whole chunks fill a table of up to _TABLE_CHUNK_BYTES before it is
-    # reduced, so a reduction's per-call cost is paid once per table.
-    group = chunk * max(1, _TABLE_CHUNK_BYTES // (8 * n * n * chunk))
+
+    def flat(g: Sequence[np.ndarray], entries: int) -> list[np.ndarray]:
+        # Level k as (d**k, entries, size, n_nodes): tensor axis first, nodes last.
+        return [
+            np.moveaxis(lv.reshape((entries, size, n, d**k)), -1, 0)
+            for k, lv in enumerate(g[1:], start=1)
+        ]
+
+    def increments(g: list[np.ndarray], entry: int, rows: slice) -> list[np.ndarray]:
+        # np.take keeps the gathered pairs contiguous along the last axis.
+        return _left_quotient(
+            [np.take(lv[:, entry, rows], i_idx, axis=-1) for lv in g],
+            [np.take(lv[:, entry, rows], j_idx, axis=-1) for lv in g],
+        )
+
+    xs = flat(x, count)
+    ys = None if y is None else flat(y, 1)
+    chunk, group = pair_chunks(n, d, depth, count, y is not None)
     parts: list[list[np.ndarray]] = [[] for _ in reductions]
     for lo in range(0, size, group):
-        table = np.zeros((min(group, size - lo), n, n))
-        for at in range(0, table.shape[0], chunk):
+        table = np.zeros((count, min(group, size - lo), n, n))
+        for at in range(0, table.shape[1], chunk):
             rows = slice(lo + at, lo + at + chunk)
-            # np.take keeps the gathered pairs contiguous along the last axis.
-            inc = [
-                _left_quotient(
-                    [np.take(lv[:, rows], i_idx, axis=-1) for lv in g],
-                    [np.take(lv[:, rows], j_idx, axis=-1) for lv in g],
-                )
-                for g in flat
-            ]
-            z = inc[0] if y is None else _left_quotient(inc[0], inc[1])
-            dist = np.zeros(z[0].shape[1:])
-            for k, lv in enumerate(z, start=1):
-                dist = np.maximum(dist, np.sqrt(np.sum(lv * lv, axis=0)) ** (1.0 / k))
-            table[at : at + chunk, i_idx, j_idx] = dist
+            shared = None if ys is None else increments(ys, 0, rows)
+            for entry in range(count):
+                z = increments(xs, entry, rows)
+                if shared is not None:
+                    z = _left_quotient(z, shared)
+                dist = np.zeros(z[0].shape[1:])
+                for k, lv in enumerate(z, start=1):
+                    dist = np.maximum(dist, np.sqrt(np.sum(lv * lv, axis=0)) ** (1.0 / k))
+                table[entry][at : at + chunk, i_idx, j_idx] = dist
         for part, reduce in zip(parts, reductions):
             part.append(reduce(table))
-    return tuple(np.concatenate(part).reshape(batch + part[0].shape[1:]) for part in parts)
+    return tuple(
+        np.concatenate(part, axis=1).reshape(stack + batch + part[0].shape[2:]) for part in parts
+    )
 
 
 def pair_dist_table(x: Sequence[np.ndarray], y: Sequence[np.ndarray] | None = None) -> np.ndarray:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussrough
+import gaussrough.variation_metrics as vm
 from gaussrough import (
     ConfigError,
     ResultRecord,
@@ -36,7 +37,11 @@ from gaussrough import (
     uniform_grid,
 )
 from gaussrough.cli import _SUBCOMMANDS, main
-from gaussrough.experiments import _SCHEMA, _child_seed, _q_mean
+from gaussrough.experiments import _SCHEMA, _child_seed, _mode_sets, _q_mean, _record
+from gaussrough.gaussian_process import cov_matrix, sample_values
+from gaussrough.karhunen_loeve import kl_decompose
+from gaussrough.path_lift import lift_values
+from gaussrough.variation_metrics import holder_batch, pvar_batch, reduce_pair_dists
 
 
 def base(experiment, **kw):
@@ -279,7 +284,7 @@ def test_run_pvar_rows():
 def test_run_pvar_memory_bounded_in_samples():
     # The distance table of all 400 samples takes 51 MiB, and its p-th power
     # as much again; reduced chunk by chunk, one 4 MiB table, its power and the
-    # 1 MiB increment arrays of one chunk are alive at a time.
+    # 256 KiB increment arrays of one chunk are alive at a time.
     cfg = base("pvar", p=3.0, samples=400, d=1, n=128)
     tracemalloc.start()
     try:
@@ -316,6 +321,91 @@ def test_run_convergence_exact_zero_at_full_rank():
     recs = run_convergence(cfg)
     assert len(recs) == 4
     assert all(r.value == 0.0 and r.stderr == 0.0 for r in recs)
+
+
+def _convergence_by_count(cfg):
+    # kl-mode run_convergence with one projection, two lifts and two
+    # node-pair passes per kept-mode count: the reference for the stacked pass.
+    grid = uniform_grid(cfg.n)
+    r = cov_matrix(cfg.kernel, grid)
+    basis = kl_decompose(r)
+    values = sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 0))
+    full_levels = lift_values(values, 3)
+    alpha = cfg.alpha if cfg.alpha is not None else 1.0 / cfg.p
+    holder = cfg.kernel.kind in ("brownian", "fbm")
+
+    def pvar_and_holder(x, y=None):
+        return reduce_pair_dists(
+            x, y, lambda t: pvar_batch(t, cfg.p), lambda t: holder_batch(t, grid.times, alpha)
+        )
+
+    records = []
+    for a, m in zip(_mode_sets(cfg, basis.rank), cfg.m):
+        drop = basis.phi[a.complement(basis.rank).as_array()]
+        tail = np.einsum("sct,mt,mu->scu", values, drop, drop, optimize=True)
+        proj = values - tail
+        pvar, hold = pvar_and_holder(lift_values(proj, 3), full_levels)
+        tail_pvar, tail_hold = pvar_and_holder(lift_values(tail, 3))
+        for name, data in (
+            ("kl_pvar_qmean", pvar),
+            ("kl_tail_pvar_qmean", tail_pvar),
+            ("kl_holder_qmean", hold),
+            ("kl_tail_holder_qmean", tail_hold),
+        ):
+            if not holder and "holder" in name:
+                continue
+            value, se = _q_mean(data, cfg.q)
+            records.append(_record(cfg, name, value, se, m))
+    return records
+
+
+def test_run_convergence_equals_per_count_loop(tmp_path, monkeypatch):
+    # Brownian motion plus an independent linear drift, tabulated: a kernel
+    # without Holder rows whose rank, like fbm's and Brownian motion's, is n.
+    times = np.linspace(0.0, 1.0, 9)
+    table = tmp_path / "cov.csv"
+    cov = np.minimum.outer(times, times) + 0.3 * np.outer(times, times)
+    np.savetxt(table, np.vstack([times, cov]), delimiter=",")
+    kernels = [
+        {"kind": "fbm", "hurst": 0.4},
+        {"kind": "brownian"},
+        {"kind": "table", "path": str(table)},
+    ]
+    for kernel, d, samples, policy in itertools.product(kernels, (1, 3), (2, 7), ("prefix", "random")):
+        cfg = base(
+            "convergence", kernel=kernel, d=d, samples=samples, index_policy=policy,
+            p=3.5, q=2.0, m=[3, 8, 1], seed=samples + d,
+        )
+        want = _convergence_by_count(cfg)
+        assert len(want) == 3 * (2 if kernel["kind"] == "table" else 4)
+        # Keeping all 8 modes gives exactly 0 for every distance.
+        assert all(r.value == 0.0 for r in want if r.m == 8)
+        assert run_convergence(cfg) == want
+        # Sample groups of one and of two samples, one-sample chunks.
+        monkeypatch.setattr(vm, "_PAIR_CHUNK_BYTES", 1)
+        for per_group in (1, 2):
+            monkeypatch.setattr(vm, "_TABLE_CHUNK_BYTES", 8 * 9**2 * 3 * per_group)
+            assert run_convergence(cfg) == want
+        monkeypatch.undo()
+
+
+def test_run_convergence_memory_flat_in_counts():
+    # Criterion 09's shape with ten kept-mode counts.  The counts' projected
+    # and tail values take 2 MiB; lifting them all at once would add 12 MiB
+    # per path kind, so the lifts are made one group of samples at a time.
+    cfg = load_config(
+        "convergence",
+        {"kernel": {"kind": "fbm", "hurst": 0.4}, "n": 128, "d": 2, "p": 3.2, "q": 2.0,
+         "samples": 100, "m": list(range(4, 124, 12)), "seed": 9},
+    )
+    tracemalloc.start()
+    try:
+        recs = run_convergence(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == 40
+    assert peak < 20 * 2**20, peak
 
 
 def test_run_convergence_dyadic_rows():

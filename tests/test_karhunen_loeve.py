@@ -106,6 +106,17 @@ def test_project_full_set_is_identity(rng):
     assert np.max(np.abs(y.values - x.values)) <= 1e-10
 
 
+def test_index_set_complement_is_set_difference(rng):
+    for rank in (0, 1, 5, 257):
+        sets = [(), tuple(range(rank)), (rank, rank + 3)]
+        sets += [rng.choice(rank, size=rng.integers(0, rank + 1), replace=False) for _ in range(20)]
+        for items in sets:
+            got = IndexSet.of(items).complement(rank)
+            want = IndexSet.of(set(range(rank)) - {int(i) for i in items})
+            assert got == want and hash(got) == hash(want)
+            assert all(type(i) is int for i in got)
+
+
 def test_project_idempotent_and_complement(rng):
     n = 12
     r = cov_matrix(CovKernel.fbm(0.35), uniform_grid(n))

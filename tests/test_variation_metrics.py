@@ -429,6 +429,37 @@ def test_pair_dist_table_chunks_bit_identical(rng, monkeypatch):
             assert all(np.array_equal(g, r) for g, r in zip(got, reduced))
 
 
+def test_reduce_pair_dists_stack_bit_identical(rng, monkeypatch):
+    # A stack of x paths against one shared y (or none) gives, entry for
+    # entry, the tables and reductions of one call per entry, whatever the
+    # chunks and table groups; 7 samples are no multiple of any chunk here.
+    n, d, depth, samples = 5, 2, 3, 7
+    times = uniform_grid(n).times
+    reductions = (
+        lambda t: pvar_batch(t, 2.5),
+        lambda t: holder_batch(t, times, 0.3),
+        lambda t: t,
+    )
+    y = batch_lift(rng, (samples,), d, n, depth)
+    top = 8 * n * (n + 1) // 2 * d**depth
+    for stack in ((), (1,), (3,)):
+        x = batch_lift(rng, stack + (samples,), d, n, depth)
+        for shared in (y, None):
+            want = [
+                reduce_pair_dists([lv[s] for lv in x], shared, *reductions)
+                for s in np.ndindex(stack)
+            ]
+            for per_chunk in (2, 4):
+                monkeypatch.setattr(vm, "_PAIR_CHUNK_BYTES", top * per_chunk)
+                for per_table in (1, 6, 12):
+                    monkeypatch.setattr(vm, "_TABLE_CHUNK_BYTES", 8 * (n + 1) ** 2 * per_table)
+                    got = reduce_pair_dists(x, shared, *reductions)
+                    assert [g.shape[: len(stack) + 1] for g in got] == [stack + (samples,)] * 3
+                    for s, entry in zip(np.ndindex(stack), want):
+                        assert all(np.array_equal(g[s], w) for g, w in zip(got, entry))
+            monkeypatch.undo()
+
+
 def test_dp_max_sum_batched_equals_rows(rng):
     cost = rng.uniform(size=(3, 2, 9, 9))
     got = pvar_batch(cost, 2.5)
