@@ -28,7 +28,6 @@ import numpy as np
 
 from .gaussian_process import (
     CovKernel,
-    CovMatrix,
     DataError,
     cov_matrix,
     draw_normals,
@@ -42,7 +41,7 @@ from .karhunen_loeve import (
     partial_cov,
     project,
 )
-from .path_lift import SamplePath, lift_values, signature_at, uniform_grid
+from .path_lift import SamplePath, signature_at, uniform_grid
 from .tensor_group import group_norm_levels, log_levels
 from .variation_metrics import (
     BRUTE_MAX_2D,
@@ -86,6 +85,10 @@ _EXPERIMENTS = (
     "simulate", "lift", "pvar", "rhovar",
 )
 _LIFTING = {"convergence", "uniform-modulus", "martingale", "pvar", "lift"}
+# Fewest samples per experiment; a standard error needs two draws.
+_MIN_SAMPLES = {
+    "convergence": 2, "martingale": 2, "uniform-modulus": 2, "translation": 1, "pvar": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -280,31 +283,22 @@ def _validate_regime(cfg: ExperimentConfig) -> None:
             raise ConfigError("convergence requires p and q")
         if not cfg.m:
             raise ConfigError("convergence requires the 'm' list")
-        if cfg.samples < 2:
-            raise ConfigError("convergence requires samples >= 2")
+    if cfg.experiment == "pvar" and cfg.p is None:
+        raise ConfigError("pvar requires p")
+    need = _MIN_SAMPLES.get(cfg.experiment, 0)
+    if cfg.samples < need:
+        raise ConfigError(f"{cfg.experiment} requires samples >= {need}")
+    if cfg.experiment == "convergence":
         if cfg.mode == "dyadic":
             sizes = (cfg.n,) + tuple(cfg.m)
             if any(v & (v - 1) for v in sizes):
                 raise ConfigError("dyadic mode requires power-of-two grid sizes")
             if any(2 * v > cfg.n for v in cfg.m):
                 raise ConfigError("dyadic mode requires 2*m <= n for every m")
-        else:
-            if any(v > cfg.n for v in cfg.m):
-                raise ConfigError("kept-mode counts cannot exceed the grid rank")
-    if cfg.experiment == "martingale":
-        if cfg.samples < 2:
-            raise ConfigError("martingale requires samples >= 2")
-        if cfg.index_size > cfg.n:
-            raise ConfigError("index_size cannot exceed the grid rank")
-    if cfg.experiment == "uniform-modulus" and cfg.samples < 2:
-        raise ConfigError("uniform-modulus requires samples >= 2")
-    if cfg.experiment == "translation" and cfg.samples < 1:
-        raise ConfigError("translation requires samples >= 1")
-    if cfg.experiment == "pvar":
-        if cfg.p is None:
-            raise ConfigError("pvar requires p")
-        if cfg.samples < 1:
-            raise ConfigError("pvar requires samples >= 1")
+        elif any(v > cfg.n for v in cfg.m):
+            raise ConfigError("kept-mode counts cannot exceed the grid rank")
+    if cfg.experiment == "martingale" and cfg.index_size > cfg.n:
+        raise ConfigError("index_size cannot exceed the grid rank")
     if cfg.experiment == "rhovar":
         if cfg.rho is not None and cfg.rho < 1.0:
             raise ConfigError("rho must be >= 1")
@@ -459,11 +453,6 @@ def _q_mean(dists: np.ndarray, q: float) -> tuple[float, float]:
     return value, se_mean * value / (q * mean)
 
 
-def _sample_levels(r: CovMatrix, cfg: ExperimentConfig, count: int, seed: int, depth: int = 3):
-    values = sample_values(r, cfg.d, count, seed)
-    return values, lift_values(values, depth)
-
-
 def _mode_sets(cfg: ExperimentConfig, rank: int) -> list[IndexSet]:
     if any(m > rank for m in cfg.m):
         raise DataError(f"kept-mode count exceeds covariance rank {rank}")
@@ -497,7 +486,8 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
     grid = uniform_grid(cfg.n)
     r = cov_matrix(cfg.kernel, grid)
     basis = kl_decompose(r)
-    values, full_levels = _sample_levels(r, cfg, cfg.samples, _child_seed(cfg.seed, 0))
+    values = sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 0))
+    full_levels = signature_at(values, 3)
     alpha = cfg.alpha if cfg.alpha is not None else 1.0 / cfg.p
     holder = cfg.kernel.kind in ("brownian", "fbm")
     reductions = (lambda t: pvar_batch(t, cfg.p), lambda t: holder_batch(t, grid.times, alpha))
@@ -513,10 +503,10 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
     parts = []
     for lo in range(0, cfg.samples, group):
         rows = slice(lo, lo + group)
-        proj = lift_values(values[rows] - tail[:, rows], 3)
+        proj = signature_at(values[rows] - tail[:, rows], 3)
         parts.append(
             reduce_pair_dists(proj, [lv[rows] for lv in full_levels], *reductions)
-            + reduce_pair_dists(lift_values(tail[:, rows], 3), None, *reductions)
+            + reduce_pair_dists(signature_at(tail[:, rows], 3), None, *reductions)
         )
     pvar, hold, tail_pvar, tail_hold = (np.concatenate(p, axis=1) for p in zip(*parts))
 
@@ -552,7 +542,7 @@ def _run_dyadic(cfg: ExperimentConfig) -> list[ResultRecord]:
         interp[:, :, ::2] = coarse_vals
         interp[:, :, 1::2] = 0.5 * (coarse_vals[:, :, :-1] + coarse_vals[:, :, 1:])
         (dists,) = reduce_pair_dists(
-            lift_values(interp, 3), lift_values(fine_vals, 3), lambda t: pvar_batch(t, cfg.p)
+            signature_at(interp, 3), signature_at(fine_vals, 3), lambda t: pvar_batch(t, cfg.p)
         )
         value, se = _q_mean(dists, cfg.q)
         records.append(_record(cfg, "dyadic_pvar_qmean", value, se, m))
@@ -738,7 +728,7 @@ def run_lift(cfg: ExperimentConfig) -> list[np.ndarray]:
     """Log coordinates of the lifted samples, one array per degree 1..depth;
     degree k has shape (samples, n_nodes) + (d,)*k."""
     values = run_simulate(cfg)
-    levels = lift_values(values, cfg.depth)
+    levels = signature_at(values, cfg.depth)
     return log_levels(levels)[1:]
 
 
@@ -776,7 +766,7 @@ def run_pvar(cfg: ExperimentConfig) -> list[ResultRecord]:
     """p-variation norm of each sampled lift (per-sample rows)."""
     grid = uniform_grid(cfg.n)
     r = cov_matrix(cfg.kernel, grid)
-    _, levels = _sample_levels(r, cfg, cfg.samples, cfg.seed)
+    levels = signature_at(sample_values(r, cfg.d, cfg.samples, cfg.seed), 3)
     (vals,) = reduce_pair_dists(levels, None, lambda t: pvar_batch(t, cfg.p))
     return [_record(cfg, "pvar_norm", val, None, s) for s, val in enumerate(vals)]
 

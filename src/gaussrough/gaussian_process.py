@@ -77,7 +77,8 @@ class CovKernel:
                 raise ValueError("table values must be square over the table grid")
             if not np.all(np.isfinite(v)):
                 raise ValueError("table values must be finite")
-            if np.max(np.abs(v - v.T), initial=0.0) > 1e-12:
+            # Relative to the table's scale, as the PSD gate is.
+            if np.max(np.abs(v - v.T)) > 1e-12 * max(float(np.max(np.abs(v))), 1.0):
                 raise ValueError("table values must be symmetric")
             object.__setattr__(self, "table_times", t)
             object.__setattr__(self, "table_values", v)

@@ -7,11 +7,13 @@ path is the path increment from time 0 (the start value is subtracted).  Chen's
 identity holds exactly: the increment of the lift between two nodes equals the
 lift of the path restricted to those nodes.
 
-``lift_values`` and ``signature_at`` are this module's part of the batch layer
-(see ``tensor_group``): they lift node values of shape ``(..., d, n_nodes)``
-for any leading batch axes into level-stacked arrays, ``lift_values`` at every
-node (for node-pair tables and ``lift``) and ``signature_at`` at requested
-nodes only, for statistics that read no other node.
+``signature_at`` is this module's part of the batch layer (see
+``tensor_group``): it lifts node values of shape ``(..., d, n_nodes)`` for any
+leading batch axes into level-stacked arrays, at every node (for node-pair
+tables and ``lift``) or at requested nodes only, for statistics that read no
+other node.  Both share one Chen recurrence; only the way the per-segment
+sums are formed differs (a running sum over every segment, or one matrix
+product per block of segments between requested nodes).
 
 ``young_integral_quadratic`` integrates a piecewise-quadratic scalar function
 against a coordinate of a piecewise-linear path with Simpson weights per
@@ -136,115 +138,75 @@ class GroupPath:
         return cls(grid, stacked)
 
 
-def _times_delta(head: np.ndarray, delta: np.ndarray, out: np.ndarray) -> None:
-    # out[..., c] = head (x) delta[..., c]; head may be the view out[..., 0],
-    # which is why c = 0 is written last.
-    for c in reversed(range(delta.shape[-1])):
-        scale = delta[(Ellipsis, c) + (None,) * (head.ndim - delta.ndim + 1)]
-        np.multiply(head, scale, out=out[..., c])
-
-
-def lift_values(values: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Chen cumulative sums over the last (node) axis.
-
-    values: (..., d, n_nodes) -> levels[k]: (..., n_nodes) + (d,)*k, for
-    depth in 1..3.
-
-    Chen's identity with the segment exponential exp(delta) gives the level-k
-    increment over segment m from the lower levels at node m:
-    S1 += delta, S2 += (S1 + delta/2) (x) delta and
-    S3 += (S2 + (S1/2 + delta/6) (x) delta) (x) delta.  Each level's
-    increments are built inside its output array, which is then summed in
-    place along the node axis, so no temporary larger than the path itself is
-    allocated.
-    """
-    check_depth(depth)
-    delta = np.swapaxes(np.diff(values, axis=-1), -1, -2)  # (..., n_seg, d)
-    shape = delta.shape[:-2] + (delta.shape[-2] + 1,)
-    d = delta.shape[-1]
-    axis = len(shape) - 1
-    lead = (slice(None),) * axis
-    out = [np.ones(shape)]
-    for k in range(1, depth + 1):
-        lv = np.empty(shape + (d,) * k)
-        lv[lead + (0,)] = 0.0
-        inc = lv[lead + (slice(1, None),)]
-        if k == 1:
-            inc[...] = delta
-        else:
-            # The factor left of the last delta, built in the slot inc[..., 0].
-            head = inc[..., 0]
-            if k == 2:
-                np.divide(delta, 2.0, out=head)
-                head += out[1][..., :-1, :]
-            else:
-                np.divide(delta, 6.0, out=head[..., 0])
-                head[..., 0] += out[1][..., :-1, :] / 2.0
-                _times_delta(head[..., 0], delta, head)
-                head += out[2][..., :-1, :, :]
-            _times_delta(head, delta, inc)
-        np.cumsum(lv, axis=axis, out=lv)
-        out.append(lv)
-    return out
-
-
-def _block_sums(left: np.ndarray, right: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    # Running sums of left[..., m] (x) right[..., m] over the segment blocks
-    # between consecutive bounds: (..., p, n_seg), (..., d, n_seg) ->
-    # (..., blocks, p, d).
-    out = np.empty(left.shape[:-2] + (bounds.size - 1, left.shape[-2], right.shape[-2]))
+def _chen_sums(left: np.ndarray, delta: np.ndarray, nodes: np.ndarray | None) -> np.ndarray:
+    # sum_{m<t} left[..., m] (x) delta[..., m] at the requested nodes t:
+    # (..., p, n_seg), (..., d, n_seg) -> (..., len(nodes), p, d).  Every node
+    # (nodes None): the per-segment products once, written into the output
+    # and summed there in place along the node axis.  A few nodes: one
+    # batched matrix product per block of segments between requested nodes,
+    # summed over the blocks.
+    if nodes is None:
+        out = np.empty(left.shape[:-2] + (left.shape[-1] + 1, left.shape[-2], delta.shape[-2]))
+        out[..., 0, :, :] = 0.0
+        segment_last = np.moveaxis(out[..., 1:, :, :], -3, -1)
+        np.multiply(left[..., :, None, :], delta[..., None, :, :], out=segment_last)
+        return np.cumsum(out, axis=-3, out=out)
+    bounds = np.concatenate(([0], nodes))
+    out = np.empty(left.shape[:-2] + (nodes.size, left.shape[-2], delta.shape[-2]))
     for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        np.matmul(left[..., lo:hi], np.swapaxes(right[..., lo:hi], -1, -2), out=out[..., j, :, :])
+        np.matmul(left[..., lo:hi], np.swapaxes(delta[..., lo:hi], -1, -2), out=out[..., j, :, :])
     return np.cumsum(out, axis=-3, out=out)
 
 
-def signature_at(values: np.ndarray, depth: int, nodes: Sequence[int]) -> list[np.ndarray]:
-    """Lift from node 0 read at the given nodes only.
+def signature_at(
+    values: np.ndarray, depth: int, nodes: Sequence[int] | None = None
+) -> list[np.ndarray]:
+    """Lift from node 0, at every node or at the given nodes only.
 
     values: (..., d, n_nodes) -> levels[k]: (..., len(nodes)) + (d,)*k, for
     depth in 1..3 and nodes sorted, distinct and in 0..n_nodes-1 (possibly
-    none); equal to ``lift_values(values, depth)[k][..., nodes, ...]`` up to
-    rounding.
+    none); ``nodes=None`` means every node.  The arrays are C-contiguous.
 
-    With S1(m) = x_m - x_0, level 2 at node t is sum_{m<t} (S1(m) + delta_m/2)
-    (x) delta_m and level 3 is sum_{m<t} A_m (x) delta_m with
-    A_m = S2(m) + (S1(m)/2 + delta_m/6) (x) delta_m.  Each sum is one batched
-    matrix product per block of segments between requested nodes, summed over
-    the blocks; only level 3 needs the running level 2 at every node, which is
-    O(n d^2) per sample instead of the O(n d^3) of a full level-3 lift.  The
-    work runs in the input's component-major layout, segments last, so the
-    elementwise loops run along the long axis.
+    Chen's identity with the segment exponential exp(delta_m) gives level 1
+    as S1(t) = sum_{m<t} delta_m, level 2 as sum_{m<t} (S1(m) + delta_m/2)
+    (x) delta_m and level 3 as sum_{m<t} A_m (x) delta_m with
+    A_m = S2(m) + (S1(m)/2 + delta_m/6) (x) delta_m.  Level 3 needs the
+    running level 2 at every node, which is O(n d^2) per sample; level 2 at
+    the requested nodes is then read from it.  The operands keep the input's
+    component-major layout, segments last, so the elementwise loops run along
+    the long axis.
     """
     check_depth(depth)
     values = np.asarray(values, dtype=float)
     n_nodes = values.shape[-1]
-    nodes = np.asarray(nodes, dtype=np.intp)
-    if nodes.ndim != 1 or np.any(nodes < 0) or np.any(nodes >= n_nodes) or np.any(np.diff(nodes) <= 0):
-        raise ValueError(f"nodes must be sorted, distinct and in 0..{n_nodes - 1}")
+    at = slice(None)
+    if nodes is not None:
+        nodes = at = np.asarray(nodes, dtype=np.intp)
+        if nodes.ndim != 1 or np.any(nodes < 0) or np.any(nodes >= n_nodes) or np.any(np.diff(nodes) <= 0):
+            raise ValueError(f"nodes must be sorted, distinct and in 0..{n_nodes - 1}")
     delta = np.diff(values, axis=-1)  # (..., d, n_seg)
-    s1 = values - values[..., :1]  # (..., d, n_nodes)
+    s1 = np.empty_like(values)  # (..., d, n_nodes)
+    s1[..., 0] = 0.0
+    np.cumsum(delta, axis=-1, out=s1[..., 1:])
     d = delta.shape[-2]
-    bounds = np.concatenate(([0], nodes))
-    out = [np.ones(values.shape[:-2] + (nodes.size,)), np.swapaxes(s1[..., nodes], -1, -2)]
+    level1 = np.swapaxes(s1[..., at], -1, -2)
+    out = [np.ones(level1.shape[:-1]), level1]
     if depth >= 2:
         s1 = s1[..., :-1]
-        head = s1 + delta / 2.0
-        out.append(_block_sums(head, delta, bounds))
+        s2 = _chen_sums(s1 + delta / 2.0, delta, nodes if depth == 2 else None)
+        out.append(s2 if depth == 2 else s2[..., at, :, :])
     if depth == 3:
-        # A_m in one (..., d, d, n_seg) array: the running level 2 first.
-        a = np.empty(delta.shape[:-2] + (d, d, delta.shape[-1]))
-        a[..., :1] = 0.0
-        np.multiply(head[..., :, None, :-1], delta[..., None, :, :-1], out=a[..., 1:])
-        np.cumsum(a, axis=-1, out=a)
-        a += (s1 / 2.0 + delta / 6.0)[..., :, None, :] * delta[..., None, :, :]
+        # A_m in one (..., d, d, n_seg) array, segments last.
+        a = (s1 / 2.0 + delta / 6.0)[..., :, None, :] * delta[..., None, :, :]
+        a += np.moveaxis(s2[..., :-1, :, :], -3, -1)
         flat = a.reshape(a.shape[:-3] + (d * d, a.shape[-1]))
-        out.append(_block_sums(flat, delta, bounds).reshape(out[2].shape + (d,)))
-    return out
+        out.append(_chen_sums(flat, delta, nodes).reshape(out[2].shape + (d,)))
+    return [np.ascontiguousarray(lv) for lv in out]
 
 
 def lift_pl(path: SamplePath, depth: int = MAX_DEPTH) -> GroupPath:
     """Signature lift of a piecewise-linear path, node by node."""
-    return GroupPath(path.grid, tuple(lift_values(path.values, depth)))
+    return GroupPath(path.grid, tuple(signature_at(path.values, depth)))
 
 
 def signature_increment(gp: GroupPath, a: int, b: int) -> GroupElement:

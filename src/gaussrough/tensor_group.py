@@ -22,9 +22,8 @@ the package's internal batch layer, shared between modules but not exported:
 level-stacked elements, one array per degree with any leading batch axes
 (level k has shape ``batch + (d,)*k``).  This module contributes
 ``check_depth``, ``log_levels``, ``hom_norm_levels`` and ``group_norm_levels``
-(the plain norm); ``path_lift`` (``lift_values`` for every node,
-``signature_at`` for a few), ``gaussian_process`` and ``variation_metrics``
-name their parts.
+(the plain norm); ``path_lift`` (``signature_at``, at every node or a few),
+``gaussian_process`` and ``variation_metrics`` name their parts.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from gaussrough.cli import _SUBCOMMANDS, main
 from gaussrough.experiments import _SCHEMA, _child_seed, _mode_sets, _q_mean, _record
 from gaussrough.gaussian_process import cov_matrix, sample_values
 from gaussrough.karhunen_loeve import kl_decompose
-from gaussrough.path_lift import lift_values
+from gaussrough.path_lift import signature_at
 from gaussrough.variation_metrics import holder_batch, pvar_batch, reduce_pair_dists
 
 
@@ -330,7 +330,7 @@ def _convergence_by_count(cfg):
     r = cov_matrix(cfg.kernel, grid)
     basis = kl_decompose(r)
     values = sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 0))
-    full_levels = lift_values(values, 3)
+    full_levels = signature_at(values, 3)
     alpha = cfg.alpha if cfg.alpha is not None else 1.0 / cfg.p
     holder = cfg.kernel.kind in ("brownian", "fbm")
 
@@ -344,8 +344,8 @@ def _convergence_by_count(cfg):
         drop = basis.phi[a.complement(basis.rank).as_array()]
         tail = np.einsum("sct,mt,mu->scu", values, drop, drop, optimize=True)
         proj = values - tail
-        pvar, hold = pvar_and_holder(lift_values(proj, 3), full_levels)
-        tail_pvar, tail_hold = pvar_and_holder(lift_values(tail, 3))
+        pvar, hold = pvar_and_holder(signature_at(proj, 3), full_levels)
+        tail_pvar, tail_hold = pvar_and_holder(signature_at(tail, 3))
         for name, data in (
             ("kl_pvar_qmean", pvar),
             ("kl_tail_pvar_qmean", tail_pvar),
@@ -578,6 +578,25 @@ def test_cli_one_value_table_exit_2(tmp_path, capsys):
     table = tmp_path / "cov.csv"
     table.write_text("0\n")
     code, out = run_cli(tmp_path, "rhovar", dict(BROWNIAN, kernel={"kind": "table", "path": str(table)}))
+    assert_config_error(code, capsys, out)
+
+
+def test_cli_large_scale_table_symmetry_is_relative(tmp_path, capsys):
+    # (q*lam) @ q.T at scale 1e6 is PD but asymmetric by rounding (about
+    # 1e-10): accepted and sampled.  A clearly asymmetric table still exits 2.
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    vals = (q * (rng.uniform(0.5, 2.0, 6) * 1e6)) @ q.T
+    assert np.max(np.abs(vals - vals.T)) > 1e-12
+    table = tmp_path / "cov.csv"
+    config = dict(BROWNIAN, kernel={"kind": "table", "path": str(table)}, d=1, samples=2)
+    np.savetxt(table, np.vstack([np.linspace(0.0, 1.0, 6)[None, :], vals]), delimiter=",")
+    code, out = run_cli(tmp_path, "simulate", config)
+    assert code == 0 and out.exists()
+    out.unlink()
+    vals[0, 1] += 1e-3 * vals[0, 0]
+    np.savetxt(table, np.vstack([np.linspace(0.0, 1.0, 6)[None, :], vals]), delimiter=",")
+    code, out = run_cli(tmp_path, "simulate", config)
     assert_config_error(code, capsys, out)
 
 

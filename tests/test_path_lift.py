@@ -221,17 +221,18 @@ def test_sample_path_validation():
         SamplePath(uniform_grid(3), np.zeros((2, 3)))
 
 
-def test_lift_values_equals_iterated_segment_products(rng):
-    # The Chen cumulative sums reproduce the left-to-right product of segment
+def test_signature_at_equals_iterated_segment_products(rng):
+    # The every-node lift reproduces the left-to-right product of segment
     # exponentials node by node, for any leading batch axes.
-    from gaussrough.path_lift import lift_values
+    from gaussrough.path_lift import signature_at
 
     n = 6
     for d in (1, 2, 3):
         for depth in (1, 2, 3):
             values = np.cumsum(rng.standard_normal((2, 3, d, n + 1)), axis=-1) / np.sqrt(n)
-            levels = lift_values(values, depth)
+            levels = signature_at(values, depth)
             assert [lv.shape for lv in levels] == [(2, 3, n + 1) + (d,) * k for k in range(depth + 1)]
+            assert all(lv.flags.c_contiguous for lv in levels)
             for b in np.ndindex(2, 3):
                 g = identity(d, depth)
                 for m in range(n + 1):
@@ -243,26 +244,24 @@ def test_lift_values_equals_iterated_segment_products(rng):
                         assert err <= 1e-13, (d, depth, b, m, k, err)
 
 
-def test_lift_values_rejects_depth_outside_1_to_3():
-    from gaussrough.path_lift import lift_values
-
+def test_lift_pl_rejects_depth_outside_1_to_3():
     values = np.zeros((2, 5))
     for depth in (0, 4):
-        with pytest.raises(ValueError):
-            lift_values(values, depth)
         with pytest.raises(ValueError):
             lift_pl(SamplePath(uniform_grid(4), values), depth)
 
 
-def test_signature_at_equals_lift_values_at_nodes(rng):
-    from gaussrough.path_lift import lift_values, signature_at
+def test_signature_at_few_nodes_equals_every_node(rng):
+    # The block-product route (a few nodes) against the running-sum route
+    # (every node), read at the same nodes.
+    from gaussrough.path_lift import signature_at
 
     for depth in (1, 2, 3):
         for d in (1, 2, 3):
             for batch in ((), (5,), (4, 7)):
                 for n in (0, 1, 9):
                     values = np.cumsum(rng.standard_normal(batch + (d, n + 1)), axis=-1)
-                    full = lift_values(values, depth)
+                    full = signature_at(values, depth)
                     spread = sorted({0, n // 3, min(n // 2 + 1, n), n})
                     for nodes in ([], [0], [n], sorted({0, n}), [n // 2], spread):
                         got = signature_at(values, depth, nodes)
@@ -282,6 +281,12 @@ def test_signature_at_rejects_bad_depth_and_nodes():
     for depth in (0, 4):
         with pytest.raises(ValueError):
             signature_at(values, depth, [5])
+        with pytest.raises(ValueError):
+            signature_at(values, depth)
     for nodes in ([3, 1], [2, 2], [-1], [6], [0, 6], [[1]]):
         with pytest.raises(ValueError):
             signature_at(values, 3, nodes)
+    # None is every node, not a bad node list.
+    assert [lv.shape for lv in signature_at(values, 3, None)] == [(3, 6)] + [
+        (3, 6) + (2,) * k for k in (1, 2, 3)
+    ]

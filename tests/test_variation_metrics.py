@@ -22,7 +22,7 @@ from gaussrough import (
     signature_increment,
     uniform_grid,
 )
-from gaussrough.path_lift import lift_values
+from gaussrough.path_lift import signature_at
 from gaussrough.variation_metrics import (
     holder_batch,
     pair_dist_table,
@@ -371,7 +371,7 @@ def test_rho_var_validation():
 
 def batch_lift(rng, batch, d, n, depth):
     values = np.cumsum(rng.standard_normal(batch + (d, n + 1)), axis=-1) / np.sqrt(n)
-    return lift_values(values, depth)
+    return signature_at(values, depth)
 
 
 def test_pair_dist_table_matches_public_dist(rng):
