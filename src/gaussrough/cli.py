@@ -2,8 +2,9 @@
 
 Every subcommand reads a JSON config (--config), optionally overrides its
 seed (--seed), and writes to --out; an output path ending in .json selects
-JSON, anything else CSV.  Exit codes: 0 success, 2 configuration error,
-3 numerical/data error.
+JSON, anything else CSV.  Exit codes: 0 success, 2 configuration error
+(including an --out that names a directory or lies in a missing one, found
+before any work), 3 numerical/data error (including running out of memory).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -77,6 +79,10 @@ def main(argv: list[str] | None = None) -> int:
 
         experiment, produce, columns = _SUBCOMMANDS[args.command]
         cfg = load_config(experiment, data, args.seed)
+        if os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out!r} is a directory")
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ConfigError(f"--out {args.out!r} is not in an existing directory")
         fmt = "json" if args.out.endswith(".json") else "csv"
         # Non-finite results become data errors (exit 3) where they are
         # produced, so numpy's floating-point warnings would only add lines.
@@ -90,6 +96,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        print(f"data error: out of memory: {err}", file=sys.stderr)
         return 3
     return 0
 

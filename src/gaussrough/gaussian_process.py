@@ -7,18 +7,23 @@ given by node values on their own grid, extended by bilinear interpolation
 process).
 
 Sampling draws d independent components per path from the exact joint law on
-the grid via a Cholesky factor, computed once per ``CovMatrix``.  Nodes with
-(numerically) zero variance are deterministic and excluded from the
-factorization; they are filled with zeros.  If the reduced matrix still fails
-to factor, the diagonal is jittered once by 1e-12 times its mean and the
-factorization retried; persistent failure raises DataError.
+the grid through a square root of the covariance, computed once per
+``CovMatrix``.  Nodes with zero variance relative to the largest are
+deterministic and filled with zeros.  The square root of the other nodes'
+block is its Cholesky factor wherever that factorization exists; otherwise it
+is the eigen square root of the modes that one ``eigh`` of the matrix keeps
+(eigenvalues above ``_RANK_TOL`` times the largest), so singular covariances
+are sampled exactly inside the span of their modes.  That same ``eigh``
+decides the PSD gate on that route and is the KL basis
+(``karhunen_loeve.kl_decompose``), so no covariance is eigendecomposed twice.
 
-``cov_matrix`` checks positive semidefiniteness with that same factor: a
+``cov_matrix`` checks positive semidefiniteness with the sampling factor: a
 plain factorization of the positive-variance block, with every zero-variance
 row exactly zero (node 0 of Brownian motion and fbm), certifies the matrix.
 Only a covariance without this certificate (singular, indefinite, or with a
-zero-variance node coupled to others) pays for ``eigvalsh``, which then
-decides against the tolerance ``_PSD_TOL``.
+zero-variance node coupled to others) pays for ``eigh``, whose smallest
+eigenvalue then decides against ``_PSD_TOL`` times the largest.  Every
+tolerance here is relative to the matrix's own scale.
 
 Reproducibility contract: draw k of a call with seed s uses the generator
 ``np.random.default_rng([s, k])``, so each draw has its own substream and
@@ -46,12 +51,12 @@ __all__ = [
 ]
 
 _PSD_TOL = 1e-10
+_RANK_TOL = 1e-10
 _ZERO_VAR_TOL = 1e-14
-_JITTER = 1e-12
 
 
 class DataError(RuntimeError):
-    """Numerical or data failure: non-PSD covariance, failed factorization."""
+    """Numerical or data failure: non-PSD covariance, non-finite results."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ class CovKernel:
             if not np.all(np.isfinite(v)):
                 raise ValueError("table values must be finite")
             # Relative to the table's scale, as the PSD gate is.
-            if np.max(np.abs(v - v.T)) > 1e-12 * max(float(np.max(np.abs(v))), 1.0):
+            if np.max(np.abs(v - v.T)) > 1e-12 * np.max(np.abs(v)):
                 raise ValueError("table values must be symmetric")
             object.__setattr__(self, "table_times", t)
             object.__setattr__(self, "table_values", v)
@@ -147,64 +152,56 @@ class CovMatrix:
         object.__setattr__(self, "entries", e)
 
     @cached_property
-    def _plain_factor(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(mask of the nodes with positive variance, lower Cholesky factor of
-        their block, or None if that factorization fails); no jitter."""
-        diag = np.diag(self.entries)
-        scale = max(float(np.max(diag, initial=0.0)), 1.0)
-        active = diag > _ZERO_VAR_TOL * scale
-        block = self.entries[np.ix_(active, active)]
-        if block.size == 0:
-            return active, np.zeros((0, 0))
-        try:
-            return active, np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            return active, None
+    def modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues above ``_RANK_TOL`` times the largest, descending;
+        their orthonormal eigenvectors, one row per mode) from one ``eigh``,
+        computed on first use and kept.  Raises DataError when the smallest
+        eigenvalue is below -``_PSD_TOL`` times the largest."""
+        lam, vec = np.linalg.eigh(self.entries)
+        top = max(float(lam[-1]), 0.0)
+        if lam[0] < -_PSD_TOL * top:
+            raise DataError(f"covariance is not PSD: min eigenvalue {lam[0]:.3e}")
+        keep = np.flatnonzero(lam > _RANK_TOL * top)[::-1]
+        return lam[keep], vec.T[keep]
 
     @cached_property
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mask of the nodes with positive variance, lower Cholesky factor of
-        their block), computed on first use and kept.  Only if the plain
-        factorization fails is the block's diagonal jittered and refactored."""
-        active, chol = self._plain_factor
-        if chol is not None:
-            return active, chol
+        """(mask of the nodes with positive variance, square root S of their
+        block, S @ S.T = block), computed on first use and kept.  S is the
+        lower Cholesky factor where that factorization exists, else the eigen
+        square root of the kept ``modes``, of shape (active nodes, rank)."""
+        diag = np.diag(self.entries)
+        active = diag > _ZERO_VAR_TOL * np.max(diag, initial=0.0)
         block = self.entries[np.ix_(active, active)]
-        jitter = _JITTER * float(np.mean(np.diag(block)))
         try:
-            return active, np.linalg.cholesky(block + jitter * np.eye(block.shape[0]))
-        except np.linalg.LinAlgError as err:
-            raise DataError("covariance factorization failed after jitter retry") from err
+            return active, np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            lam, phi = self.modes
+            return active, phi[:, active].T * np.sqrt(lam)
 
 
 def cov_matrix(kernel: CovKernel, grid: TimeGrid) -> CovMatrix:
     """Evaluate a kernel on a grid and check positive semidefiniteness.
 
-    Two routes decide.  If the plain Cholesky factorization of the
-    positive-variance block succeeds and every zero-variance row is exactly
-    zero, the matrix is accepted without an eigenvalue pass, and the factor
-    is kept for sampling.  A successful factorization is the exact factor of
-    a matrix within a backward error of order n u ||R|| of the block (u the
-    unit roundoff; Higham, Accuracy and Stability of Numerical Algorithms,
+    If the plain Cholesky factorization of the positive-variance block
+    succeeds and every zero-variance row is exactly zero, the matrix is
+    accepted without an eigenvalue pass, and the factor is kept for
+    sampling.  A successful factorization is the exact factor of a matrix
+    within a backward error of order n u ||R|| of the block (u the unit
+    roundoff; Higham, Accuracy and Stability of Numerical Algorithms,
     Thm 10.3), so the smallest eigenvalue is at least about minus that:
-    6e-14 ||R|| at n = 512, far inside the gate's ``_PSD_TOL`` (1e-10)
-    times max(||R||, 1).  Otherwise ``eigvalsh`` decides: DataError when the
-    smallest eigenvalue is below -1e-10 times max(largest eigenvalue, 1)
-    (table kernels can be arbitrarily bad; the analytic ones cannot).  A
-    matrix that passes this gate but cannot be factored even with jitter
-    fails only when something samples from it.
+    6e-14 ||R|| at n = 512, far inside the gate's ``_PSD_TOL`` (1e-10) times
+    ||R||.  Otherwise the ``eigh`` behind ``CovMatrix.modes`` decides, and
+    raises DataError when the smallest eigenvalue is below -1e-10 times the
+    largest (table kernels can be arbitrarily bad; the analytic ones cannot).
     """
     t = grid.times
     entries = kernel_eval(kernel, t[:, None], t[None, :])
     entries = 0.5 * (entries + entries.T)
     r = CovMatrix(grid, entries)
-    active, chol = r._plain_factor
-    if chol is not None and not np.any(entries[~active]):
-        return r
-    w = np.linalg.eigvalsh(entries)
-    scale = max(float(w[-1]), 0.0)
-    if float(w[0]) < -_PSD_TOL * max(scale, 1.0):
-        raise DataError(f"covariance is not PSD: min eigenvalue {w[0]:.3e}")
+    active, _ = r.factor
+    if np.any(entries[~active]):
+        r.modes  # a zero-variance node coupled to others: eigh decides
     return r
 
 
@@ -225,18 +222,18 @@ def sample_values(r: CovMatrix, dim: int, count: int, seed: int, first: int = 0)
     Components are independent; draw indices address substreams, so a chunked
     caller reproduces one big call exactly.
     """
-    active, chol = r.factor
+    active, root = r.factor
     n = r.grid.n_nodes
     out = np.zeros((count, dim, n))
-    n_active = int(np.count_nonzero(active))
+    n_active, rank = root.shape
     if n_active == 0 or count == 0:
         return out
-    z = draw_normals(seed, count, (dim, n_active), first)
+    z = draw_normals(seed, count, (dim, rank), first)
     # A slice write is several times faster than a mask write; the active
     # nodes are contiguous for Brownian motion and fbm (all but node 0).
     idx = np.flatnonzero(active)
     cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == n_active else active
-    out[:, :, cols] = (z.reshape(count * dim, n_active) @ chol.T).reshape(
+    out[:, :, cols] = (z.reshape(count * dim, rank) @ root.T).reshape(
         count, dim, n_active
     )
     return out

@@ -52,8 +52,6 @@ __all__ = [
     "conditional_log_mc",
 ]
 
-_RANK_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class KLBasis:
@@ -118,16 +116,10 @@ class IndexSet:
 
 
 def kl_decompose(r: CovMatrix) -> KLBasis:
-    """Eigendecompose a covariance; keeps eigenvalues above 1e-10 * largest."""
-    lam, vec = np.linalg.eigh(r.entries)
-    lam = lam[::-1]
-    vec = vec[:, ::-1]
-    top = float(lam[0]) if lam.size else 0.0
-    if top <= 0.0:
-        keep = np.zeros(lam.shape, bool)
-    else:
-        keep = lam > _RANK_TOL * top
-    return KLBasis(r.grid.times, lam[keep].copy(), vec[:, keep].T.copy())
+    """The KL basis of a covariance: the modes ``CovMatrix.modes`` keeps
+    (eigenvalues above 1e-10 times the largest), shared with its sampler."""
+    lam, phi = r.modes
+    return KLBasis(r.grid.times, lam, phi)
 
 
 def _check_modes(basis: KLBasis, a: IndexSet) -> None:

@@ -205,8 +205,12 @@ class LieElement(TensorElement):
         if abs(float(self.levels[0])) > 1e-12:
             raise ValueError("Lie element must have scalar part 0")
         if self.depth >= 2:
+            # Relative to the level's homogeneous scale: the largest level-2
+            # coordinate or the square of the largest level-1 coordinate.
             m = self.levels[2]
-            if np.max(np.abs(m + m.T), initial=0.0) > 1e-9:
+            top1 = np.max(np.abs(self.levels[1]), initial=0.0)
+            scale = max(np.max(np.abs(m), initial=0.0), top1 * top1)
+            if np.max(np.abs(m + m.T), initial=0.0) > 1e-9 * scale:
                 raise ValueError("Lie element must have antisymmetric level 2")
 
 

@@ -521,11 +521,15 @@ def test_cli_config_error_exit_2(tmp_path):
 
 BROWNIAN = {"kernel": {"kind": "brownian"}, "n": 8, "seed": 0}
 # Table kernels on the nodes 0, 0.5, 1: Brownian min(s, t), all zero (rank 0),
-# and h h^T with h = (0, 1, 2) (rank 1 on three nodes).
+# h h^T with h = (0, 1, 2) (rank 1 on three nodes), Brownian times 1e-14, and
+# a block with eigenvalues about 2 and -2.5e-11 (inside the PSD gate, with no
+# Cholesky factor).
 _TABLES = {
     "valid": "0,0.5,1\n0,0,0\n0,0.5,0.5\n0,0.5,1\n",
     "zero": "0,0.5,1\n0,0,0\n0,0,0\n0,0,0\n",
     "rank1": "0,0.5,1\n0,0,0\n0,1,2\n0,2,4\n",
+    "tiny": "0,0.5,1\n0,0,0\n0,5e-15,5e-15\n0,5e-15,1e-14\n",
+    "within_gate": "0,0.5,1\n0,0,0\n0,1,1\n0,1,0.99999999995\n",
 }
 PVAR = dict(BROWNIAN, p=3.0, samples=2)
 KLCONV = dict(BROWNIAN, d=2, p=3.0, q=2, samples=2, m=[2])
@@ -600,6 +604,45 @@ def test_cli_large_scale_table_symmetry_is_relative(tmp_path, capsys):
     assert_config_error(code, capsys, out)
 
 
+@pytest.mark.parametrize("target", ["missing/out.csv", "."])
+def test_cli_bad_out_exit_2_before_sampling(tmp_path, capsys, monkeypatch, target):
+    # An --out in a missing directory, or naming a directory, is refused
+    # before any covariance is built.
+    def fail(*args):
+        raise AssertionError("sampled before checking --out")
+
+    monkeypatch.setattr(gaussrough.experiments, "cov_matrix", fail)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(BROWNIAN, samples=2)))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / target)])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1 and err.startswith("config error: --out")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_out_of_memory_exit_3(tmp_path):
+    # rhovar at n = 20000 needs a 3.2 GB covariance; the child alone runs
+    # under a 1.5 GB address-space limit, so the allocation fails at once.
+    pytest.importorskip("resource")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(BROWNIAN, n=20000)))
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(gaussrough.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    child = (
+        "import resource, runpy; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
+        "runpy.run_module('gaussrough.cli', run_name='__main__')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "rhovar", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3 and not out.exists()
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: out of memory")
+
+
 def test_cli_negative_seed_exit_2(tmp_path, capsys):
     code, out = run_cli(tmp_path, "pvar", PVAR, seed=-1)
     assert_config_error(code, capsys, out)
@@ -653,23 +696,43 @@ def test_cli_uniform_modulus_zero_mean_exit_3(tmp_path, capsys, seed):
     assert len(err.splitlines()) == 1 and err.startswith("data error: ")
 
 
+def _fbm_table(path, scale, hurst, nodes=9):
+    t = np.linspace(0.0, 1.0, nodes)
+    a, b = np.meshgrid(t, t, indexing="ij")
+    vals = scale * 0.5 * (a ** (2 * hurst) + b ** (2 * hurst) - np.abs(b - a) ** (2 * hurst))
+    np.savetxt(path, np.vstack([t[None, :], vals]), delimiter=",")
+    return {"kind": "table", "path": str(path)}
+
+
 def test_martingale_check_large_scale_table_z_bounded(tmp_path):
-    # 1e4 x fbm(H=0.3) tabulated on 9 nodes: structurally zero log-lift
-    # coordinates differ by rounding far above an absolute 1e-12, and must
-    # not be scored as signal.
-    nodes = np.linspace(0.0, 1.0, 9)
-    s, t = np.meshgrid(nodes, nodes, indexing="ij")
-    vals = 1e4 * 0.5 * (s**0.6 + t**0.6 - np.abs(t - s) ** 0.6)
-    table = tmp_path / "cov.csv"
-    np.savetxt(table, np.vstack([nodes[None, :], vals]), delimiter=",")
-    kernel = {"kind": "table", "path": str(table)}
+    # fbm(H=0.3) tabulated on 9 nodes, at scale 1 and 1e4: structurally zero
+    # log-lift coordinates differ by rounding far above an absolute 1e-12,
+    # and must not be scored as signal.  The z-scores do not depend on the
+    # units, so every record at 1e4 equals its scale-1 value.  The _nocorr
+    # rows omit the degree-3 correction on purpose and may be large.
     for seed in range(1, 9):
-        cfg = load_config(
-            "martingale", {"kernel": kernel, "n": 16, "seed": seed, "d": 2, "samples": 60}
-        )
-        for rec in run_martingale_checks(cfg):
-            if rec.statistic.startswith("cond_"):
-                assert rec.value <= 5.0, (seed, rec.statistic, rec.value)
+        recs = {}
+        for scale in (1.0, 1e4):
+            kernel = _fbm_table(tmp_path / f"cov{scale}.csv", scale, 0.3)
+            cfg = load_config(
+                "martingale", {"kernel": kernel, "n": 16, "seed": seed, "d": 2, "samples": 60}
+            )
+            recs[scale] = {rec.statistic: rec.value for rec in run_martingale_checks(cfg)}
+        assert recs[1.0].keys() == recs[1e4].keys()
+        for stat, value in recs[1.0].items():
+            assert abs(recs[1e4][stat] - value) <= 1e-9 * abs(value), (seed, stat)
+            if stat.startswith("cond_") and "_nocorr" not in stat:
+                assert value <= 5.0, (seed, stat, value)
+
+
+def test_cli_martingale_check_huge_table_exit_0(tmp_path):
+    # 1e8 x fbm(H=0.35): level-2 antisymmetry is checked relative to the
+    # level's own scale, so rounding at 1e8 is not an invalid Lie element.
+    kernel = _fbm_table(tmp_path / "cov.csv", 1e8, 0.35)
+    config = {"kernel": kernel, "n": 16, "seed": 3, "d": 2, "samples": 40, "index_size": 4}
+    code, out = run_cli(tmp_path, "martingale-check", config)
+    assert code == 0
+    assert all(np.isfinite(r.value) for r in read_records(str(out)))
 
 
 def test_cli_non_finite_statistic_exit_3(tmp_path, capsys):

@@ -14,6 +14,7 @@ from gaussrough import (
 )
 from gaussrough.cli import main
 from gaussrough.gaussian_process import sample_values
+from gaussrough.karhunen_loeve import kl_decompose
 
 
 def test_brownian_kernel_values():
@@ -116,7 +117,7 @@ def _eigvalsh_gate(kernel, grid):
     t = grid.times
     e = kernel_eval(kernel, t[:, None], t[None, :])
     w = np.linalg.eigvalsh(0.5 * (e + e.T))
-    return not float(w[0]) < -1e-10 * max(max(float(w[-1]), 0.0), 1.0)
+    return not float(w[0]) < -1e-10 * max(float(w[-1]), 0.0)
 
 
 def _accepts(kernel, grid):
@@ -129,11 +130,11 @@ def _accepts(kernel, grid):
 
 def _spectrum_table(seed, size, scale, c):
     # Random eigenvectors; the smallest eigenvalue is -c times the PSD
-    # tolerance 1e-10 * max(largest eigenvalue, 1).
+    # tolerance 1e-10 * largest eigenvalue.
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(size, size)))
     lam = scale * rng.uniform(0.1, 1.0, size)
-    lam[0] = -c * 1e-10 * max(float(np.max(lam)), 1.0)
+    lam[0] = -c * 1e-10 * float(np.max(lam))
     vals = (q * lam) @ q.T
     return CovKernel.from_table(uniform_grid(size - 1).times, 0.5 * (vals + vals.T))
 
@@ -174,26 +175,94 @@ def test_cov_matrix_zero_variance_row_must_be_zero():
         cov_matrix(k, uniform_grid(2))
 
 
-def test_cov_matrix_jitter_retry_stays_lazy(tmp_path):
-    # Smallest eigenvalue -5e-11 times the largest: inside the PSD gate, but
-    # beyond what the 1e-12 jitter retry can factor.  Only sampling fails.
+# Extra config keys that run each subcommand on a rank-4 covariance.
+_EVERY_SUBCOMMAND = {
+    "simulate": {"d": 2, "samples": 2},
+    "lift": {"d": 2, "samples": 2},
+    "kl-converge": {"d": 2, "p": 3.0, "q": 2, "samples": 3, "m": [2, 4]},
+    "uniform-modulus": {"d": 2, "samples": 3, "sets": 2},
+    "martingale-check": {"d": 2, "samples": 20, "index_size": 2},
+    "twovar-bound": {"sets": 2},
+    "translate-check": {"samples": 2},
+    "pvar": {"d": 2, "p": 3.0, "samples": 2},
+    "rhovar": {},
+}
+
+
+def _write_table(path, times, vals):
+    np.savetxt(path, np.vstack([times[None, :], vals]), delimiter=",")
+    return {"kind": "table", "path": str(path)}
+
+
+def _run(tmp_path, sub, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    return main([sub, "--config", str(cfg), "--out", str(out)]), out
+
+
+def test_cov_matrix_within_gate_runs_every_subcommand(tmp_path, capsys):
+    # Smallest eigenvalue -5e-11 times the largest: inside the PSD gate, and
+    # no Cholesky factor exists.  The eigen square root samples it, so every
+    # subcommand ends the same way.
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
     lam = np.array([1.0, 0.8, 0.5, 0.3, -5e-11])
     vals = (q * lam) @ q.T
     vals = 0.5 * (vals + vals.T)
     times = uniform_grid(4).times
-    table = tmp_path / "cov.csv"
-    np.savetxt(table, np.vstack([times[None, :], vals]), delimiter=",")
-    k = CovKernel.from_table(times, vals)
-    r = cov_matrix(k, uniform_grid(4))
-    with pytest.raises(DataError, match="jitter"):
-        r.factor
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kernel": {"kind": "table", "path": str(table)}, "n": 4, "seed": 0}))
-    argv = ["--config", str(cfg), "--out", str(tmp_path / "out.csv")]
-    assert main(["rhovar", *argv]) == 0
-    assert main(["simulate", *argv]) == 3
+    kernel = _write_table(tmp_path / "cov.csv", times, vals)
+    r = cov_matrix(CovKernel.from_table(times, vals), uniform_grid(4))
+    active, root = r.factor
+    assert active.all() and root.shape == (5, 4)
+    assert np.max(np.abs(root @ root.T - vals)) <= 1e-9
+    for sub, extra in _EVERY_SUBCOMMAND.items():
+        code, _ = _run(tmp_path, sub, dict({"kernel": kernel, "n": 4, "seed": 0}, **extra))
+        assert code == 0, (sub, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_sampling_scales_with_table(tmp_path, n):
+    # A Brownian table times 4^k samples 2^k times the paths of the table
+    # itself: scaling by a power of 4 commutes with Cholesky (n = 8, the
+    # table's own grid) and with the eigen square root (n = 16, where the
+    # interpolated covariance is singular).
+    times = uniform_grid(8).times
+    base = np.minimum.outer(times, times)
+    values = {}
+    for k in (0, -24, -20, 20, 24):
+        kernel = _write_table(tmp_path / "cov.csv", times, 4.0**k * base)
+        code, out = _run(tmp_path, "simulate", {"kernel": kernel, "n": n, "seed": 4, "d": 2, "samples": 3})
+        assert code == 0, k
+        values[k] = np.loadtxt(out, delimiter=",", skiprows=1, usecols=3)
+    ref = values.pop(0)
+    assert np.max(np.abs(ref)) > 0.1
+    for k, v in values.items():
+        assert np.max(np.abs(v / 2.0**k - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_one_eigendecomposition_per_cov_matrix(monkeypatch, n):
+    # n = 8: Cholesky certifies, kl_decompose runs the one eigh.  n = 16: the
+    # singular interpolation takes the eigen route in cov_matrix, and the
+    # sampler and the KL basis reuse that eigh.
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, fn=fn, name=name: calls.append(name) or fn(a))
+    times = uniform_grid(8).times
+    s, t = np.meshgrid(times, times, indexing="ij")
+    r = cov_matrix(CovKernel.from_table(times, np.minimum(s, t) + s * t), uniform_grid(n))
+    assert calls == ([] if n == 8 else ["eigh"])
+    basis = kl_decompose(r)
+    values = sample_values(r, 2, 3, seed=1)
+    kl_decompose(r)
+    assert len(calls) == 1
+    assert basis.phi is r.modes[1] and basis.rank == 8
+    # The sampled paths lie in the span of the kept modes.
+    resid = values - (values @ basis.phi.T) @ basis.phi
+    assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(values))
 
 
 def test_sampling_deterministic():
