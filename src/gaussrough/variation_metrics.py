@@ -35,15 +35,27 @@ deletion of an interior node) until none improves, then a pass over toggles
 of node pairs, repeated until neither improves; it runs from the full grid and
 from a few random restarts, so it never returns less than ``fullgrid``.
 
+``hillclimb`` reads every cell from a table of |rect increment of R|^rho
+between pairs of intervals [a,b] x [c,d], filled lazily: an interval gets a
+slot the first time the search uses it (as an interval of a start state, of a
+candidate, or of a toggle's window), and its row and column against every
+slotted interval are computed then, in one batch per call.  The table holds
+only what a climb visits, O(s^2) doubles for s visited intervals, never the
+O(n^4) of all pairs.  Its entries are formed in ``_grid_sum``'s operation
+order, rows first and then columns, and the exact value of a state sums the
+same q x q block of cells by the same pairwise reduction, so it equals
+``_grid_sum`` bit for bit.  A candidate is accepted when it beats the current
+sum by a relative 1e-15, so the search is the same at any scale of R.
+
 Each search state screens all its toggles at once: a toggle changes only the
 cells in the row and column bands of its window, so its gain costs O(n) and
-all of them one vectorized pass; two toggles with disjoint windows interact
-only through a 3 x 3 block of cells each way, and pairs whose windows overlap
-are not screened.  A candidate whose screened gain is below minus a margin far
-above the rounding error of either computation is rejected unseen; every other
-candidate is evaluated exactly and accepted on the exact sum, so the search
-takes the decisions, and returns the value, that exact evaluation of every
-candidate gives.
+all of them one vectorized gather from the table; two toggles with disjoint
+windows interact only through a 3 x 3 block of cells each way, and pairs whose
+windows overlap are not screened.  A candidate whose screened gain is below
+minus a margin far above the rounding error of either computation is rejected
+unseen; every other candidate is evaluated exactly and accepted on the exact
+sum, so the search takes the decisions, and returns the value, that exact
+evaluation of every candidate gives.
 """
 
 from __future__ import annotations
@@ -346,12 +358,66 @@ _HALVES = np.array([1.0, 1.0, -1.0])
 _CORNER = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
 
 
-def _triple_cells(r: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cells of r between the intervals of node triples u (rows) and v
-    (columns), shape (..., 3, 3)."""
-    sq = r[..., u[..., :, None], v[..., None, :]]
-    half = np.take(sq, _ENDS, axis=-2) - np.take(sq, _STARTS, axis=-2)
-    return np.take(half, _ENDS, axis=-1) - np.take(half, _STARTS, axis=-1)
+class _CellTable:
+    """|rect increment of R|^rho over [a,b] x [c,d] for pairs of intervals.
+
+    An interval gets a slot the first time it is asked for, and its row and
+    column of ``values`` are computed then, in ``_grid_sum``'s operation
+    order, so a gather from the table is bitwise the cells ``_grid_sum``
+    forms.  ``values`` doubles its capacity as slots are added: it holds at
+    most (2s)^2 entries for s slotted intervals.
+    """
+
+    def __init__(self, r: np.ndarray, rho: float):
+        self.r, self.rho = r, rho
+        self.slot = np.full(r.shape, -1, dtype=np.intp)
+        self.starts = self.ends = np.empty(0, dtype=np.intp)
+        self.values = np.empty((0, 0))
+
+    def cells(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Slots of the intervals [a, b], arrays of any one shape; the missing
+        ones are slotted in one batch."""
+        s = self.slot[a, b]
+        missing = s < 0
+        if missing.any():
+            self._add(a[missing], b[missing])
+            s = self.slot[a, b]
+        return s
+
+    def _add(self, a: np.ndarray, b: np.ndarray) -> None:
+        r = self.r
+        # One slot per distinct interval: of repeated ones, one write wins.
+        self.slot[a, b] = np.arange(a.size)
+        kept = self.slot[a, b] == np.arange(a.size)
+        na, nb = a[kept], b[kept]
+        oa, ob = self.starts, self.ends
+        old, new = oa.size, oa.size + na.size
+        if new > self.values.shape[0]:
+            grown = np.empty((max(new, 2 * self.values.shape[0]),) * 2)
+            grown[:old, :old] = self.values[:old, :old]
+            self.values = grown
+        self.starts, self.ends = np.concatenate((oa, na)), np.concatenate((ob, nb))
+        self.slot[na, nb] = np.arange(old, new)
+        rows = r[nb] - r[na]
+        cells = rows[:, self.ends]
+        cells -= rows[:, self.starts]
+        self.values[old:new, :new] = self._power(cells)
+        oa, ob = oa[:, None], ob[:, None]
+        cells = r[ob, nb] - r[oa, nb]
+        cells -= r[ob, na] - r[oa, na]
+        self.values[:old, old:new] = self._power(cells)
+
+    def _power(self, cells: np.ndarray) -> np.ndarray:
+        # np.abs(cells) ** rho in place: a first batch can be 800 x 800.
+        np.abs(cells, out=cells)
+        cells **= self.rho
+        return cells
+
+    def grid_sum(self, idx: np.ndarray) -> float:
+        """``_grid_sum`` over dissection ``idx``: the same q x q block of
+        cells, summed by the same pairwise reduction."""
+        ip = self.cells(idx[:-1], idx[1:])
+        return float(np.sum(self.values[ip[:, None], ip]))
 
 
 def _window(member: np.ndarray) -> np.ndarray:
@@ -363,43 +429,45 @@ def _window(member: np.ndarray) -> np.ndarray:
     return np.stack((below[:-2], place[1:-1], above[2:]), axis=-1)
 
 
-def _toggle_gains(rr: np.ndarray, member: np.ndarray, rho: float) -> np.ndarray:
+def _toggle_gains(table: _CellTable, member: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Estimated change of the grid sum when one interior node k is toggled,
-    at entry k-1.
+    at entry k-1; ``u`` is ``_window(member)``.
 
-    ``rr`` stacks R and its transpose, so rows and columns are summed alike
-    and R need not be symmetric.  With a < k < b the nearest members of D
-    without k, only the cells whose row or column interval lies inside [a, b]
-    change: the bands [a,k] + [k,b] - [a,b] against every other interval of D,
-    and the corner.  An insertion gains that sum, a deletion loses it.
+    Rows and columns of the table are summed alike, so R need not be
+    symmetric.  With a < k < b the nearest members of D without k, only the
+    cells whose row or column interval lies inside [a, b] change: the bands
+    [a,k] + [k,b] - [a,b] against every other interval of D, and the corner.
+    An insertion gains that sum, a deletion loses it.
     """
     pos = np.flatnonzero(member)
-    u = _window(member)
+    ip = table.cells(pos[:-1], pos[1:])
+    w = table.cells(u[:, _STARTS], u[:, _ENDS])
+    t = table.values
     outside = (pos[:-1] < u[:, :1]) | (pos[1:] > u[:, 2:])
-    # Increments of R and of R^T between row node a, k or b and each interval.
-    v = rr[:, u.T[..., None], pos]
-    c = v[..., 1:] - v[..., :-1]
-    halves = np.sum(np.abs(c[:, 1:] - c[:, :-1]) ** rho, axis=1)
-    band = halves - np.abs(c[:, 2] - c[:, 0]) ** rho
-    corner = np.sum(np.abs(_triple_cells(rr[0], u, u)) ** rho * _CORNER, axis=(-2, -1))
-    gain = np.sum(outside * band, axis=(0, -1)) + corner
+    band = _HALVES @ (t[w[..., None], ip] + t[ip, w[..., None]])
+    corner = np.sum(t[w[..., None], w[:, None]] * _CORNER, axis=(-2, -1))
+    gain = np.sum(outside * band, axis=-1) + corner
     return np.where(member[1:-1], -gain, gain)
 
 
-def _pair_gains(rr: np.ndarray, member: np.ndarray, gain: np.ndarray, rho: float) -> np.ndarray:
+def _pair_gains(
+    table: _CellTable, member: np.ndarray, u: np.ndarray, gain: np.ndarray
+) -> np.ndarray:
     """Estimated change of the grid sum when the interior nodes i < j are both
-    toggled, at entry (i-1, j-1); ``gain`` is ``_toggle_gains`` of the state.
+    toggled, at entry (i-1, j-1); ``u`` is ``_window(member)`` and ``gain``
+    is ``_toggle_gains`` of the state.
 
     Toggles with disjoint windows interact only through the cells between one's
     triple and the other's, so their pair gain is the two gains and that
     interaction.  Pairs whose windows overlap get +inf: they are not screened.
     """
-    u = _window(member)
+    w = table.cells(u[:, _STARTS], u[:, _ENDS])
+    t = table.values
     sign = np.where(member[1:-1], -1.0, 1.0)
     i, j = np.triu_indices(u.shape[0], 1)
-    cross = np.abs(_triple_cells(rr, u[i], u[j])) ** rho @ _HALVES @ _HALVES
+    cross = (t[w[i, :, None], w[j, None]] + t[w[j, None], w[i, :, None]]) @ _HALVES @ _HALVES
     pair = np.empty((u.shape[0], u.shape[0]))
-    pair[i, j] = gain[i] + gain[j] + sign[i] * sign[j] * np.sum(cross, axis=0)
+    pair[i, j] = gain[i] + gain[j] + sign[i] * sign[j] * cross
     overlap = u[i, 2] > u[j, 0]
     pair[i[overlap], j[overlap]] = np.inf
     return pair
@@ -408,7 +476,7 @@ def _pair_gains(rr: np.ndarray, member: np.ndarray, gain: np.ndarray, rho: float
 def _hillclimb(r: np.ndarray, rho: float, seed: int) -> float:
     n_seg = r.shape[0] - 1
     interior = range(1, n_seg)
-    rr = np.stack((r, r.T))
+    table = _CellTable(r, rho)
     # No cell exceeds (4 max|R|)^rho, so rounding moves an exact grid sum or a
     # screened gain by less than about rho * n_seg^2 * eps times that bound.
     # An infinite or NaN margin skips nothing.
@@ -422,8 +490,9 @@ def _hillclimb(r: np.ndarray, rho: float, seed: int) -> float:
         # unless its screened gain is below -margin, far beyond the screen's
         # rounding error, so each decision is the one an exact evaluation of
         # every candidate makes.  The screen changes only on acceptance.
-        current = _grid_sum(r, np.flatnonzero(member), rho)
-        gain = _toggle_gains(rr, member, rho)
+        current = table.grid_sum(np.flatnonzero(member))
+        u = _window(member)
+        gain = _toggle_gains(table, member, u)
         improved = True
         while improved:
             improved = False
@@ -431,40 +500,49 @@ def _hillclimb(r: np.ndarray, rho: float, seed: int) -> float:
                 if gain[k - 1] < -margin:
                     continue
                 member[k] = ~member[k]
-                candidate = _grid_sum(r, np.flatnonzero(member), rho)
-                if candidate > current + 1e-15:
+                candidate = table.grid_sum(np.flatnonzero(member))
+                if candidate > current * (1 + 1e-15):
                     current = candidate
                     improved = True
-                    gain = _toggle_gains(rr, member, rho)
+                    u = _window(member)
+                    gain = _toggle_gains(table, member, u)
                 else:
                     member[k] = ~member[k]
             if improved:
                 continue
-            pair = _pair_gains(rr, member, gain, rho)
+            pair = _pair_gains(table, member, u, gain)
             for ka in interior:
                 for kb in range(ka + 1, n_seg):
                     if pair[ka - 1, kb - 1] < -margin:
                         continue
                     member[ka] = ~member[ka]
                     member[kb] = ~member[kb]
-                    candidate = _grid_sum(r, np.flatnonzero(member), rho)
-                    if candidate > current + 1e-15:
+                    candidate = table.grid_sum(np.flatnonzero(member))
+                    if candidate > current * (1 + 1e-15):
                         current = candidate
                         improved = True
-                        gain = _toggle_gains(rr, member, rho)
-                        pair = _pair_gains(rr, member, gain, rho)
+                        u = _window(member)
+                        gain = _toggle_gains(table, member, u)
+                        pair = _pair_gains(table, member, u, gain)
                     else:
                         member[ka] = ~member[ka]
                         member[kb] = ~member[kb]
         return current
 
-    full = np.ones(n_seg + 1, dtype=bool)
-    best = climb(full.copy())
+    # The restart masks are drawn before any climb (a climb draws nothing),
+    # so every start state and its windows are slotted in one batch.
     rng = np.random.default_rng(seed)
-    for _ in range(_HILLCLIMB_RESTARTS):
-        member = full.copy()
+    starts = [np.ones(n_seg + 1, dtype=bool) for _ in range(_HILLCLIMB_RESTARTS + 1)]
+    for member in starts[1:]:
         if interior:
             member[1:n_seg] = rng.random(n_seg - 1) < 0.5
-        best = max(best, climb(member))
-    # The full grid is a member of the searched family; never report less.
-    return max(best, _grid_sum(r, np.arange(n_seg + 1), rho))
+    a: list[np.ndarray] = []
+    b: list[np.ndarray] = []
+    for member in starts:
+        pos, u = np.flatnonzero(member), _window(member)
+        a += [pos[:-1], u[:, _STARTS].ravel()]
+        b += [pos[1:], u[:, _ENDS].ravel()]
+    table.cells(np.concatenate(a), np.concatenate(b))
+    # The first climb starts from the full grid and never returns less than
+    # its exact sum, so no search value is below ``fullgrid``'s.
+    return max(climb(member) for member in starts)

@@ -243,7 +243,7 @@ def _reference_hillclimb(r, nodes, rho, seed):
             for k in interior:
                 member[k] = ~member[k]
                 candidate = _reference_grid_sum(r, nodes[np.flatnonzero(member)], rho)
-                if candidate > current + 1e-15:
+                if candidate > current * (1 + 1e-15):
                     current = candidate
                     improved = True
                 else:
@@ -256,7 +256,7 @@ def _reference_hillclimb(r, nodes, rho, seed):
                     member[ka] = ~member[ka]
                     member[kb] = ~member[kb]
                     candidate = _reference_grid_sum(r, nodes[np.flatnonzero(member)], rho)
-                    if candidate > current + 1e-15:
+                    if candidate > current * (1 + 1e-15):
                         current = candidate
                         improved = True
                     else:
@@ -302,17 +302,67 @@ def test_hillclimb_equals_unscreened_search(rng):
         assert rho_var_2d(r, rho, mode="hillclimb", lo=lo, hi=hi, seed=seed) == ref
 
 
+def test_cell_table_sums_equal_grid_sum(rng):
+    grown = 0
+    for r, rho, lo, hi in random_rho_cases(rng, 40, 29):
+        sub = r[lo : hi + 1, lo : hi + 1]
+        table = vm._CellTable(sub, rho)
+        n_seg = hi - lo
+        states = []
+        for _ in range(6):
+            member = np.ones(n_seg + 1, dtype=bool)
+            member[1:n_seg] = rng.random(n_seg - 1) < 0.5
+            states.append(np.flatnonzero(member))
+            capacity = table.values.shape[0]
+            assert table.grid_sum(states[-1]) == vm._grid_sum(sub, states[-1], rho)
+            grown += 0 < capacity < table.values.shape[0]
+            assert table.values.shape[0] <= 2 * table.starts.size
+        # Rows and columns slotted before a growth survive it unchanged.
+        for idx in states:
+            assert table.grid_sum(idx) == vm._grid_sum(sub, idx, rho)
+    assert grown > 20
+
+
+def test_hillclimb_table_grows_with_visited_intervals(monkeypatch):
+    tables = []
+
+    class Recorded(vm._CellTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(vm, "_CellTable", Recorded)
+    rho_var_2d(fbm_cov(64, 0.3), 1 / 0.6, mode="hillclimb", seed=1)
+    (table,) = tables
+    slotted = np.count_nonzero(table.slot >= 0)
+    # Far from all 2080 intervals of the grid: the table is not n^4.
+    assert slotted < 2080 // 2
+    assert table.values.shape[0] <= 2 * slotted
+
+
+def test_hillclimb_scale_free():
+    # The acceptance rule is relative: at 4^-24 every improvement of this
+    # matrix's grid sum is below 1e-15, which an absolute rule would reject.
+    a = np.random.default_rng(0).normal(size=(13, 13))
+    r = a @ a.T
+    ref = rho_var_2d(r, 1.4, mode="hillclimb", seed=3)
+    for k in (-24, -20, 20, 24):
+        c = 4.0**k
+        assert abs(rho_var_2d(c * r, 1.4, mode="hillclimb", seed=3) / c - ref) <= 1e-12 * ref
+
+
 def test_screened_gains_match_exact_differences(rng):
     screened = 0
     for r, rho, lo, hi in random_rho_cases(rng, 60, 16):
         sub = r[lo : hi + 1, lo : hi + 1]
-        rr = np.stack((sub, sub.T))
+        table = vm._CellTable(sub, rho)
         n_seg = hi - lo
         member = np.ones(n_seg + 1, dtype=bool)
         member[1:n_seg] = rng.random(n_seg - 1) < 0.5
         before = vm._grid_sum(sub, np.flatnonzero(member), rho)
-        gain = vm._toggle_gains(rr, member, rho)
-        pair = vm._pair_gains(rr, member, gain, rho)
+        u = vm._window(member)
+        gain = vm._toggle_gains(table, member, u)
+        pair = vm._pair_gains(table, member, u, gain)
         tol = 1e-12 * before
         for k in range(1, n_seg):
             after = member.copy()
@@ -336,7 +386,7 @@ def test_hillclimb_exact_tie_brownian():
     r = brownian_cov(28)
     member = np.ones(29, dtype=bool)
     member[1::3] = False
-    gain = vm._toggle_gains(np.stack((r, r.T)), member, 1.0)
+    gain = vm._toggle_gains(vm._CellTable(r, 1.0), member, vm._window(member))
     assert np.max(np.abs(gain)) <= 1e-15
     assert abs(rho_var_2d(r, 1.0, mode="hillclimb") - 1.0) <= 1e-12
     assert abs(rho_var_2d(r, 1.0, mode="hillclimb", lo=5, hi=20) - 15 / 28) <= 1e-12
