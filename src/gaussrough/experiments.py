@@ -605,17 +605,16 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def _max_z(diff_levels, se_levels, scales=None, rtol: float = 1e-12) -> float:
     """Worst |diff|/se over coordinates.  A difference of at most rtol times
-    max(1, scale) counts as zero, where scale is the largest absolute
-    coordinate of that level among the values compared (None: unit scale).
-    Structurally zero coordinates carry rounding differences of that size,
-    over rounding-level standard errors."""
+    scale counts as zero, where scale is the size of that level's compared
+    values (None: unit scale).  Structurally zero coordinates carry rounding
+    differences of that size, over rounding-level standard errors."""
     if scales is None:
-        scales = [0.0] * len(diff_levels)
+        scales = [1.0] * len(diff_levels)
     worst = 0.0
     for diff, se, scale in zip(diff_levels, se_levels, scales):
         d = np.abs(np.asarray(diff))
         s = np.asarray(se)
-        mask = d > rtol * max(1.0, scale)
+        mask = d > rtol * scale
         if not np.any(mask):
             continue
         with np.errstate(divide="ignore"):
@@ -635,33 +634,39 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
     degree-3 correction (z-scores per coordinate); with the correction zeroed
     the degree-3 row measures the test's power.  Also checks that the
     unconditional mean of the log-lift vanishes.
+
+    The zero threshold of degree k is relative to the larger of the compared
+    values and sigma^k, sigma^2 the largest node variance (1 for Brownian
+    motion and fbm), so that levels that vanish structurally (all of degree
+    2 and 3 when d = 1) are not scored on their own rounding.
     """
     grid = uniform_grid(cfg.n)
     r = cov_matrix(cfg.kernel, grid)
+    sigma = math.sqrt(float(np.max(np.diagonal(r.entries))))
     basis = kl_decompose(r)
-    bases = [basis] * cfg.d
     a = IndexSet.prefix(min(cfg.index_size, basis.rank))
     x_full = SamplePath(grid, sample_values(r, cfg.d, 1, _child_seed(cfg.seed, 3))[0])
-    x_a = project(x_full, bases, a)
+    x_a = project(x_full, basis, a)
     pairs = cfg.pairs or ((0, cfg.n), (0, cfg.n // 2), (cfg.n // 4, 3 * cfg.n // 4))
 
     records = []
     for idx, (s, t) in enumerate(pairs):
         mean_log, se = conditional_log_mc(
-            bases, a, x_a, s, t, cfg.samples, _child_seed(cfg.seed, 4, idx)
+            basis, a, x_a, s, t, cfg.samples, _child_seed(cfg.seed, 4, idx)
         )
         ref_levels = signature_at(x_a.values[:, s : t + 1], 3, [t - s])
         ref_log = log_levels([lv[0] for lv in ref_levels])
-        corr = level3_correction(bases, a, x_a, s, t)
+        corr = level3_correction(basis, a, x_a, s, t)
         tag = f"{s}-{t}"
         checks = [
-            ("cond_l1_max_z", mean_log.levels[1], ref_log[1], se[0]),
-            ("cond_l2_max_z", mean_log.levels[2], ref_log[2], se[1]),
-            ("cond_l3_max_z", mean_log.levels[3], ref_log[3] + corr.levels[3], se[2]),
-            ("cond_l3_max_z_nocorr", mean_log.levels[3], ref_log[3], se[2]),
+            ("cond_l1_max_z", 1, ref_log[1]),
+            ("cond_l2_max_z", 2, ref_log[2]),
+            ("cond_l3_max_z", 3, ref_log[3] + corr.levels[3]),
+            ("cond_l3_max_z_nocorr", 3, ref_log[3]),
         ]
-        for name, mean, ref, err in checks:
-            z = _max_z([mean - ref], [err], [_abs_max(mean, ref)])
+        for name, k, ref in checks:
+            mean = mean_log.levels[k]
+            z = _max_z([mean - ref], [se[k - 1]], [max(sigma**k, _abs_max(mean, ref))])
             records.append(_record(cfg, f"{name}:{tag}", z, None, None))
     # Unconditional: the mean log-lift vanishes at every node.
     values = sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 5))
@@ -672,7 +677,7 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
         logs = log_levels([lv[:, nodes.index(t)] for lv in levels])
         diffs = [np.mean(lv, axis=0) for lv in logs[1:]]
         ses = [np.std(lv, axis=0, ddof=1) / math.sqrt(cfg.samples) for lv in logs[1:]]
-        scales = [_abs_max(lv) for lv in logs[1:]]
+        scales = [max(sigma**k, _abs_max(lv)) for k, lv in enumerate(logs[1:], start=1)]
         records.append(_record(cfg, f"uncond_max_z:{t}", _max_z(diffs, ses, scales), None, None))
     return records
 
@@ -701,18 +706,17 @@ def run_translation_check(cfg: ExperimentConfig) -> list[ResultRecord]:
     grid = uniform_grid(cfg.n)
     r = cov_matrix(cfg.kernel, grid)
     basis = kl_decompose(r)
-    bases = [basis]
     rank = basis.rank
     worst = 0.0
     values = sample_values(r, 1, cfg.samples, _child_seed(cfg.seed, 6))
     for k in range(cfg.samples):
         x = SamplePath(grid, values[k])
-        removed = {m: project(x, bases, IndexSet.prefix(m)) for m in range(rank + 1)}
+        removed = {m: project(x, basis, IndexSet.prefix(m)) for m in range(rank + 1)}
         for a_sz in range(rank + 1):
             y = SamplePath(grid, x.values - removed[a_sz].values)
             for b_sz in range(a_sz + 1, rank + 1):
-                lhs = project(y, bases, IndexSet.prefix(b_sz))
-                rhs = project(x, bases, IndexSet.of(range(a_sz, b_sz)))
+                lhs = project(y, basis, IndexSet.prefix(b_sz))
+                rhs = project(x, basis, IndexSet.of(range(a_sz, b_sz)))
                 worst = max(worst, float(np.max(np.abs(lhs.values - rhs.values))))
     return [_record(cfg, "translation_max_abs_err", worst, None, None)]
 
@@ -775,6 +779,5 @@ def run_rhovar(cfg: ExperimentConfig) -> list[ResultRecord]:
     """2D rho-variation of the kernel's grid covariance."""
     grid = uniform_grid(cfg.n)
     r = cov_matrix(cfg.kernel, grid)
-    rho = cfg.rho if cfg.rho is not None else cfg.effective_rho()
-    val = rho_var_2d(r.entries, rho, cfg.search, seed=cfg.seed)
+    val = rho_var_2d(r.entries, cfg.effective_rho(), cfg.search, seed=cfg.seed)
     return [_record(cfg, f"rho_var_2d_{cfg.search}", val, None, None)]

@@ -6,7 +6,8 @@ path component x decomposes as x = sum_k Z_k h_k with standardized
 coefficients Z_k = <phi_k, x> / sqrt(lambda_k).  Keeping an index set A and
 discarding its complement gives the projected path; the modules here provide
 the algebra needed to compare lifted projections against the conditional law
-of the full lift:
+of the full lift.  Every path component is an iid copy of one covariance, so
+one basis serves all d components:
 
 * ``level2_double_sum`` rebuilds a degree-2 signature entry of the projected
   lift from KL coefficients and pairwise mode integrals (a route independent
@@ -16,10 +17,11 @@ of the full lift:
   processes the defect lies in the span of the brackets [e_i, [e_i, e_j]] and
   its coefficient is
 
-      (1/12) (x^j_t - x^j_s) * rect(Rc_i; [s,t] x [s,t])
-      - (1/2) int_s^t rect(Rc_i; [u,t] x [s,u]) dx^j_u,
+      (1/12) (x^j_t - x^j_s) * rect(Rc; [s,t] x [s,t])
+      - (1/2) int_s^t rect(Rc; [u,t] x [s,u]) dx^j_u,
 
-  where Rc_i is the residual covariance of component i (modes outside A).
+  where Rc is the residual covariance (modes outside A), the same for every
+  component i.
   The integrand is piecewise quadratic on the grid because mode products are
   bilinear on cells, so the Simpson rule used here is exact.
 * ``conditional_log_mc`` estimates the conditional expectation by Monte
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -97,10 +99,7 @@ class IndexSet:
         keep = np.ones(rank, dtype=bool)
         mine = self.as_array()
         keep[mine[mine < rank]] = False
-        # flatnonzero is sorted, distinct and non-negative: nothing to validate.
-        out = object.__new__(IndexSet)
-        object.__setattr__(out, "indices", tuple(np.flatnonzero(keep).tolist()))
-        return out
+        return IndexSet(tuple(np.flatnonzero(keep).tolist()))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=int)
@@ -135,20 +134,18 @@ def coefficients(values: np.ndarray, basis: KLBasis) -> np.ndarray:
     return (basis.phi @ values) / np.sqrt(basis.eigenvalues)
 
 
-def project(x: SamplePath, bases: Sequence[KLBasis], a: IndexSet) -> SamplePath:
+def project(x: SamplePath, basis: KLBasis, a: IndexSet) -> SamplePath:
     """Keep only the modes in ``a`` of each component.
 
     Computed as sum_{k in a} phi_k <phi_k, x>; the sqrt(lambda) factors of the
     coefficient/mode pairing cancel algebraically, and orthonormality of the
     phi makes repeated projection exact.
     """
-    if len(bases) != x.dim:
-        raise ValueError("one basis per path component required")
+    _check_modes(basis, a)
+    sel = basis.phi[a.as_array()]
     out = np.zeros_like(x.values)
-    for c, basis in enumerate(bases):
-        _check_modes(basis, a)
-        sel = basis.phi[a.as_array()]
-        out[c] = sel.T @ (sel @ x.values[c])
+    for c, v in enumerate(x.values):
+        out[c] = sel.T @ (sel @ v)
     return SamplePath(x.grid, out)
 
 
@@ -163,7 +160,7 @@ def partial_cov(basis: KLBasis, a: IndexSet) -> CovMatrix:
 
 
 def level2_double_sum(
-    bases: Sequence[KLBasis],
+    basis: KLBasis,
     coeffs: np.ndarray,
     a: IndexSet,
     t_node: int,
@@ -173,23 +170,20 @@ def level2_double_sum(
     """Degree-2 entry (i, j) at a node of the lifted mode-truncated path,
     assembled coefficient-wise.
 
-    Evaluates sum_{k,l in a} Z^i_k Z^j_l int_0^t (h^i_k - h^i_k(0)) dh^j_l
+    Evaluates sum_{k,l in a} Z^i_k Z^j_l int_0^t (h_k - h_k(0)) dh_l
     with the exact trapezoid value of each piecewise-linear pair integral.
     Dual route to lifting the projected path; kept separate on purpose.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    bi, bj = bases[i], bases[j]
-    _check_modes(bi, a)
-    _check_modes(bj, a)
-    if not 0 <= t_node < bi.phi.shape[1]:
+    _check_modes(basis, a)
+    if not 0 <= t_node < basis.phi.shape[1]:
         raise ValueError("t_node outside the grid")
     sel = a.as_array()
-    hi = bi.h[sel]
-    hj = bj.h[sel]
-    # Per-segment trapezoid of (h_i - h_i(0)) against dh_j, summed to t_node.
-    mids = 0.5 * (hi[:, : t_node] + hi[:, 1 : t_node + 1]) - hi[:, :1]
-    dhj = np.diff(hj[:, : t_node + 1], axis=1)
-    pair_integrals = mids @ dhj.T
+    h = basis.h[sel]
+    # Per-segment trapezoid of (h_k - h_k(0)) against dh_l, summed to t_node.
+    mids = 0.5 * (h[:, : t_node] + h[:, 1 : t_node + 1]) - h[:, :1]
+    dh = np.diff(h[:, : t_node + 1], axis=1)
+    pair_integrals = mids @ dh.T
     zi = coeffs[i, sel]
     zj = coeffs[j, sel]
     return float(zi @ pair_integrals @ zj)
@@ -225,7 +219,7 @@ def _residual_rect_integrand(
 
 
 def level3_correction(
-    bases: Sequence[KLBasis],
+    basis: KLBasis,
     a: IndexSet,
     x_a: SamplePath,
     s: int,
@@ -237,33 +231,32 @@ def level3_correction(
     ``x_a`` must lie in the span of the kept modes.  The result is the bracket
     combination described in the module docstring; degrees 1 and 2 vanish.
     The residual covariance entries it reads come straight from the residual
-    modes, in O(rank * n) per component.
+    modes, in O(rank * n), once for all components.
     """
     d = x_a.dim
-    if len(bases) != d:
-        raise ValueError("one basis per path component required")
     if not 0 <= s <= t < x_a.grid.n_nodes:
         raise ValueError("need grid nodes 0 <= s <= t")
+    h = basis.h[a.complement(basis.rank).as_array()]
+    row_t, row_s = h[:, [t, s]].T @ h
+    diag = np.einsum("kn,kn->n", h, h)
+    off = np.einsum("kn,kn->n", h[:, :-1], h[:, 1:])
+    f_nodes, f_mids = _rect_integrand(row_t, row_s, diag, off, s)
+    rect_st = row_t[t] - row_t[s] - row_s[t] + row_s[s]
+    coeffs = [
+        (x_a.values[j, t] - x_a.values[j, s]) * rect_st / 12.0
+        - 0.5 * young_integral_quadratic(f_nodes, f_mids, x_a, j, s, t)
+        for j in range(d)
+    ]
     cube = np.zeros((d, d, d))
     for i in range(d):
-        h = bases[i].h[a.complement(bases[i].rank).as_array()]
-        row_t, row_s = h[:, [t, s]].T @ h
-        diag = np.einsum("kn,kn->n", h, h)
-        off = np.einsum("kn,kn->n", h[:, :-1], h[:, 1:])
-        f_nodes, f_mids = _rect_integrand(row_t, row_s, diag, off, s)
-        rect_st = row_t[t] - row_t[s] - row_s[t] + row_s[s]
         for j in range(d):
-            if j == i:
-                continue
-            dx_j = x_a.values[j, t] - x_a.values[j, s]
-            integral = young_integral_quadratic(f_nodes, f_mids, x_a, j, s, t)
-            coeff = dx_j * rect_st / 12.0 - 0.5 * integral
-            cube += coeff * bracket_iij_tensor(i, j, d).levels[3]
+            if j != i:
+                cube += coeffs[j] * bracket_iij_tensor(i, j, d).levels[3]
     return LieElement(d, 3, zero(d, 3).levels[:3] + (cube,))
 
 
 def conditional_log_mc(
-    bases: Sequence[KLBasis],
+    basis: KLBasis,
     a: IndexSet,
     x_a: SamplePath,
     s: int,
@@ -275,30 +268,23 @@ def conditional_log_mc(
     given the kept modes.
 
     Residuals are drawn exactly in the eigenbasis (no factorization): draw k
-    uses ``np.random.default_rng([seed, k])``.  Returns the mean log as a Lie
-    element together with per-coordinate standard errors for degrees 1..3.
+    uses ``np.random.default_rng([seed, k])`` with shape (d, residual modes).
+    Returns the mean log as a Lie element together with per-coordinate
+    standard errors for degrees 1..3.
     """
     d = x_a.dim
-    if len(bases) != d:
-        raise ValueError("one basis per path component required")
     if not 0 <= s <= t < x_a.grid.n_nodes:
         raise ValueError("need grid nodes 0 <= s <= t")
     if count < 2:
         raise DataError("need at least two draws for a standard error")
-    res_h = []
-    for basis in bases:
-        _check_modes(basis, a)
-        res_h.append(basis.h[a.complement(basis.rank).as_array()])
-    sizes = [h.shape[0] for h in res_h]
-    splits = np.cumsum(sizes)[:-1]
+    _check_modes(basis, a)
+    res_h = basis.h[a.complement(basis.rank).as_array(), s : t + 1]
     window = x_a.values[:, s : t + 1]
-    total = int(np.sum(sizes))
 
-    xi = draw_normals(seed, count, (total,))
+    xi = draw_normals(seed, count, (d, res_h.shape[0]))
     values = np.broadcast_to(window, (count,) + window.shape).copy()
-    for c, part in enumerate(np.split(xi, splits, axis=1)):
-        if sizes[c]:
-            values[:, c, :] += part @ res_h[c][:, s : t + 1]
+    for c in range(d):
+        values[:, c] += xi[:, c] @ res_h
 
     lifted = signature_at(values, 3, [t - s])
     logs = log_levels([lv[:, 0] for lv in lifted])

@@ -184,9 +184,6 @@ class TensorElement:
     def level3(self) -> np.ndarray | None:
         return self.levels[3] if self.depth >= 3 else None
 
-    def _like(self, levels: Sequence[np.ndarray]) -> "TensorElement":
-        return type(self)(self.dim, self.depth, tuple(levels))
-
 
 class GroupElement(TensorElement):
     """Group-like element: scalar part 1; shuffle identities hold for lifts."""
@@ -321,6 +318,25 @@ def bracket_iij_tensor(i: int, j: int, dim: int) -> LieElement:
     return LieElement(dim, 3, tuple(lv))
 
 
+def _shuffle_checks(g: TensorElement) -> list[tuple[float, float]]:
+    """(defect, scale) per shuffle identity of degree 2 and 3 that g carries.
+
+    The scale is the larger of the identity's two sides' sizes, in largest
+    absolute coordinates: |pi_2| or |pi_1|^2, and |pi_3| or |pi_1| |pi_2|.
+    """
+    top = [float(np.max(np.abs(lv), initial=0.0)) for lv in g.levels]
+    v = g.levels[1]
+    sides = []  # (one side, the other side, scale) per identity
+    if g.depth >= 2:
+        m = g.levels[2]
+        sides.append((m + m.T, np.outer(v, v), max(top[2], top[1] ** 2)))
+    if g.depth >= 3:
+        c = g.levels[3]
+        rhs = c + c.transpose(1, 0, 2) + c.transpose(2, 0, 1)
+        sides.append((np.einsum("i,jk->ijk", v, m), rhs, max(top[3], top[1] * top[2])))
+    return [(float(np.max(np.abs(a - b), initial=0.0)), scale) for a, b, scale in sides]
+
+
 def shuffle_defect(g: TensorElement) -> float:
     """Largest violation of the degree-2 and degree-3 shuffle identities.
 
@@ -328,22 +344,16 @@ def shuffle_defect(g: TensorElement) -> float:
     pi_1[i] pi_2[j,k] = pi_3[i,j,k] + pi_3[j,i,k] + pi_3[j,k,i]; together they
     cut out exactly the group-like set at this depth.
     """
-    worst = 0.0
-    v = g.levels[1]
-    if g.depth >= 2:
-        m = g.levels[2]
-        worst = float(np.max(np.abs(m + m.T - np.outer(v, v)), initial=0.0))
-    if g.depth >= 3:
-        m = g.levels[2]
-        c = g.levels[3]
-        lhs = np.einsum("i,jk->ijk", v, m)
-        rhs = c + c.transpose(1, 0, 2) + c.transpose(2, 0, 1)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs), initial=0.0)))
-    return worst
+    return max([0.0] + [defect for defect, _ in _shuffle_checks(g)])
 
 
 def is_group_like(g: TensorElement, tol: float = 1e-9) -> bool:
-    return abs(g.scalar - 1.0) <= tol and shuffle_defect(g) <= tol
+    """Scalar part 1 within tol, and each shuffle defect at most tol times
+    the scale of its identity (see ``_shuffle_checks``), so the answer does
+    not depend on the units of the path."""
+    return abs(g.scalar - 1.0) <= tol and all(
+        defect <= tol * scale for defect, scale in _shuffle_checks(g)
+    )
 
 
 def max_abs_diff(a: TensorElement, b: TensorElement) -> float:

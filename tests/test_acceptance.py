@@ -205,7 +205,7 @@ def _conditional_setup(hurst, n, kept, seed):
     vals = sample_values(r, 2, 1, seed=seed)[0]
     x = SamplePath(grid, vals)
     a = IndexSet.prefix(kept)
-    proj = project(x, [basis, basis], a)
+    proj = project(x, basis, a)
     return basis, x, a, proj
 
 
@@ -216,7 +216,7 @@ def test_criterion_07_level2_identity():
     worst_z = 0.0
     for s_node, t_node in ((0, n), (5, 27)):
         mean, se = conditional_log_mc(
-            [basis, basis], a, proj, s_node, t_node, count=20_000, seed=1071
+            basis, a, proj, s_node, t_node, count=20_000, seed=1071
         )
         ref = log(signature_increment(lift_pl(proj), s_node, t_node))
         worst_z = max(worst_z, _max_z([mean.levels[2] - ref.levels[2]], [se[1]]))
@@ -227,7 +227,7 @@ def test_criterion_07_level2_identity():
         g2 = gp.point(t_node).levels[2]
         for i in range(2):
             for j in range(2):
-                ds = level2_double_sum([basis, basis], coeffs, a, t_node, i, j)
+                ds = level2_double_sum(basis, coeffs, a, t_node, i, j)
                 worst_ds = max(worst_ds, abs(ds - g2[i, j]))
     ok = worst_z <= 4.0 and worst_ds <= 1e-9
     report(
@@ -245,10 +245,10 @@ def test_criterion_08_level3_correction():
     basis, x, a, proj = _conditional_setup(0.35, n, 4, 108)
     s_node, t_node = 0, n
     mean, se = conditional_log_mc(
-        [basis, basis], a, proj, s_node, t_node, count=20_000, seed=1081
+        basis, a, proj, s_node, t_node, count=20_000, seed=1081
     )
     ref = log(signature_increment(lift_pl(proj), s_node, t_node))
-    corr = level3_correction([basis, basis], a, proj, s_node, t_node)
+    corr = level3_correction(basis, a, proj, s_node, t_node)
     z_corr = _max_z([mean.levels[3] - ref.levels[3] - corr.levels[3]], [se[2]])
     z_nocorr = _max_z([mean.levels[3] - ref.levels[3]], [se[2]])
     ok = z_corr <= 4.0 and z_nocorr > 6.0

@@ -735,6 +735,97 @@ def test_cli_martingale_check_huge_table_exit_0(tmp_path):
     assert all(np.isfinite(r.value) for r in read_records(str(out)))
 
 
+def test_martingale_check_z_scores_scale_free(tmp_path):
+    # The differences counted as zero are relative to the compared values'
+    # own scale, so a table in other units gives the same z-scores.  With a
+    # max(1, scale) floor, every level-3 row read 0.0 at scale 1e-8.
+    config = {"n": 16, "seed": 3, "d": 2, "samples": 40, "index_size": 4}
+    stats = {}
+    for scale in (1e-8, 1.0, 1e8):
+        kernel = _fbm_table(tmp_path / "cov.csv", scale, 0.35)
+        code, out = run_cli(tmp_path, "martingale-check", dict(config, kernel=kernel))
+        assert code == 0
+        stats[scale] = {r.statistic: r.value for r in read_records(str(out))}
+    ref = stats.pop(1.0)
+    assert ref["cond_l3_max_z:0-16"] > 0.1
+    for scale, got in stats.items():
+        assert got.keys() == ref.keys()
+        for stat, value in ref.items():
+            if stat.startswith("cond_"):
+                assert abs(got[stat] - value) <= 1e-12 * value, (scale, stat)
+
+
+@pytest.mark.parametrize("kernel", [{"kind": "brownian"}, {"kind": "fbm", "hurst": 0.4}])
+def test_martingale_check_one_component_higher_levels_zero(kernel):
+    # With d = 1 the log lift has no degree 2 or 3: those coordinates are
+    # rounding, which the zero threshold (relative to sigma^k, sigma = 1
+    # here) must not score as signal.
+    cfg = load_config("martingale", {"kernel": kernel, "n": 16, "seed": 3, "d": 1, "samples": 40,
+                                     "index_size": 4})
+    stats = {r.statistic: r.value for r in run_martingale_checks(cfg)}
+    higher = [v for stat, v in stats.items() if stat.startswith(("cond_l2", "cond_l3"))]
+    assert len(higher) == 9 and all(v == 0.0 for v in higher)
+    assert stats["cond_l1_max_z:0-16"] > 0.0
+
+
+# Every subcommand, kl-converge in both modes and martingale-check at d = 1 and 2.
+_SCALED_CONFIGS = [
+    ("simulate", {"d": 2, "samples": 2}),
+    ("lift", {"d": 2, "samples": 2, "depth": 3}),
+    ("kl-converge", {"d": 2, "p": 3.0, "q": 2, "samples": 3, "m": [2, 4]}),
+    ("kl-converge", {"d": 2, "p": 3.0, "q": 2, "samples": 3, "m": [2, 4], "mode": "dyadic"}),
+    ("uniform-modulus", {"d": 2, "samples": 4, "sets": 3, "lengths": [2, 4, 8]}),
+    ("martingale-check", {"d": 2, "samples": 40, "index_size": 4}),
+    ("martingale-check", {"d": 1, "samples": 40, "index_size": 4}),
+    ("twovar-bound", {"sets": 5}),
+    ("translate-check", {"samples": 2}),
+    ("pvar", {"d": 2, "p": 3.0, "samples": 2}),
+    ("rhovar", {"search": "hillclimb"}),
+]
+
+
+def _sqrt_scale_power(name, row):
+    """Power of sqrt(c) by which a value scales when the covariance does by c."""
+    if name == "simulate":
+        return 1
+    if name == "lift":
+        return int(row["coordinate"][1])
+    stat = row["statistic"]
+    if stat.startswith(("cond_", "uncond_", "modulus_slope")):
+        return 0
+    if stat.startswith(("modulus_sq_mean", "twovar_", "rho_var_2d")):
+        return 2
+    return 1  # p-variation and Holder distances, translation error
+
+
+@pytest.mark.parametrize("name, extra", _SCALED_CONFIGS)
+def test_subcommands_covariant_under_table_scaling(tmp_path, name, extra):
+    # Multiplying the table by c = 4^k commutes with every flop except the
+    # k-th roots, so paths and distances scale by sqrt(c) = 2^k, degree-m
+    # lift coordinates by c^(m/2), rho-variations and mean squared norms by
+    # c, and z-scores and slopes not at all, all within rounding.
+    config = dict(extra, n=16, seed=3)
+    rows = {}
+    for k in (0, -24, -20, 20, 24):
+        kernel = _fbm_table(tmp_path / "cov.csv", 4.0**k, 0.35)
+        code, out = run_cli(tmp_path, name, dict(config, kernel=kernel))
+        assert code == 0, k
+        with open(out) as fh:
+            rows[k] = list(csv.DictReader(fh))
+    ref = rows.pop(0)
+    assert ref
+    for k, got in rows.items():
+        assert len(got) == len(ref), k
+        for want, row in zip(ref, got):
+            factor = 2.0 ** (k * _sqrt_scale_power(name, want))
+            for col, value in want.items():
+                if col not in ("value", "stderr") or not value:
+                    assert row[col] == value, (k, col)
+                    continue
+                image = factor * float(value)
+                assert abs(float(row[col]) - image) <= 1e-12 * abs(image), (k, want, row[col])
+
+
 def test_cli_non_finite_statistic_exit_3(tmp_path, capsys):
     # p = 1e300 passes validation, but the distances to the power p overflow.
     code, out = run_cli(tmp_path, "pvar", dict(PVAR, p=1e300))

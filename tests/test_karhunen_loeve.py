@@ -102,7 +102,7 @@ def test_project_full_set_is_identity(rng):
     vals = sample_values(r, 2, 1, seed=3)[0]
     x = SamplePath(uniform_grid(n), vals)
     full = IndexSet.prefix(basis.rank)
-    y = project(x, [basis, basis], full)
+    y = project(x, basis, full)
     assert np.max(np.abs(y.values - x.values)) <= 1e-10
 
 
@@ -124,10 +124,10 @@ def test_project_idempotent_and_complement(rng):
     vals = sample_values(r, 1, 1, seed=4)[0]
     x = SamplePath(uniform_grid(n), vals)
     a = IndexSet.of([0, 2, 5])
-    pa = project(x, [basis], a)
-    paa = project(pa, [basis], a)
+    pa = project(x, basis, a)
+    paa = project(pa, basis, a)
     assert np.max(np.abs(paa.values - pa.values)) <= 1e-12
-    comp = project(x, [basis], a.complement(basis.rank))
+    comp = project(x, basis, a.complement(basis.rank))
     assert np.max(np.abs(pa.values + comp.values - x.values)) <= 1e-10
 
 
@@ -141,9 +141,9 @@ def test_project_translation_identity():
     x = SamplePath(uniform_grid(n), vals)
     a = IndexSet.prefix(3)
     b = IndexSet.of(range(3, 7))
-    y = SamplePath(x.grid, x.values - project(x, [basis], a).values)
-    lhs = project(y, [basis], b)
-    rhs = project(x, [basis], b)
+    y = SamplePath(x.grid, x.values - project(x, basis, a).values)
+    lhs = project(y, basis, b)
+    rhs = project(x, basis, b)
     assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12
 
 
@@ -204,20 +204,20 @@ def test_level2_double_sum_matches_lift():
     vals = sample_values(r, 2, 1, seed=12)[0]
     a = IndexSet.of([0, 1, 4, 6])
     x = SamplePath(grid, vals)
-    proj = project(x, [basis, basis], a)
+    proj = project(x, basis, a)
     coeffs = np.stack([coefficients(vals[c], basis) for c in range(2)])
     gp = lift_pl(proj)
     for t_node in (4, n):
         g = gp.point(t_node)
         for i, j in [(0, 1), (1, 0), (0, 0)]:
-            got = level2_double_sum([basis, basis], coeffs, a, t_node, i, j)
+            got = level2_double_sum(basis, coeffs, a, t_node, i, j)
             assert abs(got - g.levels[2][i, j]) <= 1e-11
 
 
 def test_level2_double_sum_empty_set():
     basis = brownian_basis(6)
     coeffs = np.zeros((1, basis.rank))
-    got = level2_double_sum([basis], coeffs, IndexSet.prefix(0), 6, 0, 0)
+    got = level2_double_sum(basis, coeffs, IndexSet.prefix(0), 6, 0, 0)
     assert got == 0.0
 
 
@@ -231,7 +231,7 @@ def test_level3_correction_full_set_is_zero():
     vals = sample_values(r, 2, 1, seed=13)[0]
     full = IndexSet.prefix(basis.rank)
     x = SamplePath(grid, vals)
-    corr = level3_correction([basis, basis], full, x, 0, n)
+    corr = level3_correction(basis, full, x, 0, n)
     assert np.max(np.abs(corr.levels[3])) <= 1e-10
     assert np.max(np.abs(corr.levels[1])) == 0.0
 
@@ -244,7 +244,7 @@ def test_level3_correction_scalar_component_is_zero():
     basis = kl_decompose(r)
     vals = sample_values(r, 1, 1, seed=14)[0]
     a = IndexSet.prefix(2)
-    corr = level3_correction([basis], a, SamplePath(grid, vals), 0, n)
+    corr = level3_correction(basis, a, SamplePath(grid, vals), 0, n)
     assert np.max(np.abs(corr.levels[3])) <= 1e-12
 
 
@@ -255,7 +255,7 @@ def test_level3_correction_empty_window_is_zero():
     basis = kl_decompose(r)
     vals = sample_values(r, 2, 1, seed=15)[0]
     a = IndexSet.prefix(2)
-    corr = level3_correction([basis, basis], a, SamplePath(grid, vals), 3, 3)
+    corr = level3_correction(basis, a, SamplePath(grid, vals), 3, 3)
     assert np.max(np.abs(corr.levels[3])) <= 1e-15
 
 
@@ -269,7 +269,7 @@ def test_conditional_log_full_set_is_deterministic():
     vals = sample_values(r, 2, 1, seed=16)[0]
     full = IndexSet.prefix(basis.rank)
     x = SamplePath(grid, vals)
-    mean, se = conditional_log_mc([basis, basis], full, x, 2, 7, count=8, seed=1)
+    mean, se = conditional_log_mc(basis, full, x, 2, 7, count=8, seed=1)
     ref = log(signature_increment(lift_pl(x), 2, 7))
     assert max_abs_diff(mean, ref) <= 1e-9
     assert all(np.max(s) <= 1e-10 for s in se)
@@ -283,10 +283,10 @@ def test_conditional_log_deterministic_in_seed():
     vals = sample_values(r, 2, 1, seed=17)[0]
     a = IndexSet.prefix(3)
     x = SamplePath(grid, vals)
-    m1, s1 = conditional_log_mc([basis, basis], a, x, 0, n, count=50, seed=5)
-    m2, s2 = conditional_log_mc([basis, basis], a, x, 0, n, count=50, seed=5)
+    m1, s1 = conditional_log_mc(basis, a, x, 0, n, count=50, seed=5)
+    m2, s2 = conditional_log_mc(basis, a, x, 0, n, count=50, seed=5)
     assert max_abs_diff(m1, m2) == 0.0
-    m3, _ = conditional_log_mc([basis, basis], a, x, 0, n, count=50, seed=6)
+    m3, _ = conditional_log_mc(basis, a, x, 0, n, count=50, seed=6)
     assert max_abs_diff(m1, m3) > 0.0
 
 
@@ -300,9 +300,9 @@ def test_conditional_log_level1_matches_projection():
     vals = sample_values(r, 2, 1, seed=18)[0]
     a = IndexSet.prefix(4)
     x = SamplePath(grid, vals)
-    proj = project(x, [basis, basis], a)
+    proj = project(x, basis, a)
     s, t = 2, 9
-    mean, se = conditional_log_mc([basis, basis], a, proj, s, t, count=4000, seed=2)
+    mean, se = conditional_log_mc(basis, a, proj, s, t, count=4000, seed=2)
     expect = proj.values[:, t] - proj.values[:, s]
     z = np.abs(mean.levels[1] - expect) / np.maximum(se[0], 1e-300)
     assert np.max(z) <= 5.0
@@ -316,12 +316,10 @@ def test_error_paths():
     vals = sample_values(r, 2, 1, seed=19)[0]
     x = SamplePath(grid, vals)
     with pytest.raises(ValueError):
-        project(x, [basis], IndexSet.prefix(2))
-    with pytest.raises(ValueError):
-        project(x, [basis, basis], IndexSet.of([basis.rank]))
+        project(x, basis, IndexSet.of([basis.rank]))
     with pytest.raises(ValueError):
         coefficients(np.zeros(3), basis)
     with pytest.raises(ValueError):
-        level3_correction([basis, basis], IndexSet.prefix(2), x, 4, 2)
+        level3_correction(basis, IndexSet.prefix(2), x, 4, 2)
     with pytest.raises(DataError):
-        conditional_log_mc([basis, basis], IndexSet.prefix(2), x, 0, n, count=1, seed=0)
+        conditional_log_mc(basis, IndexSet.prefix(2), x, 0, n, count=1, seed=0)

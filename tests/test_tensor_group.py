@@ -171,6 +171,18 @@ def test_shuffle_detects_non_group_like():
     assert not is_group_like(bad)
 
 
+@pytest.mark.parametrize("k", [-20, 20])
+def test_is_group_like_scale_free(rng, k):
+    # Dilation by 2^k scales degree m by 2^(km) exactly, so the answer must
+    # not change: an absolute tolerance rejects the large element and accepts
+    # the small non-group-like one.
+    bad = TensorElement(2, 3, (1.0, np.array([1.0, 0.0]), np.eye(2), np.zeros((2, 2, 2))))
+    assert not is_group_like(dilate(2.0**k, bad))
+    for _ in range(20):
+        g = random_group(rng, int(rng.integers(1, 5)))
+        assert is_group_like(dilate(2.0**k, g))
+
+
 def test_bracket_iij_entries():
     b = bracket_iij_tensor(0, 1, 3)
     cube = b.levels[3]
