@@ -3,9 +3,11 @@
 Each runner consumes a validated ExperimentConfig and returns ResultRecords;
 ``simulate_blocks`` and ``lift_blocks`` turn sampled paths into blocks of
 long-format rows that share their labels, and ``emit`` writes any blocks
-under their columns (a record list is one block).  All randomness flows
-through the config seed (per-draw substreams, see gaussian_process), so a
-given config produces byte-identical output files.
+under their columns (a record list is one block).  ``SUBCOMMANDS`` declares
+each command-line subcommand once: its experiment tag, producer of blocks,
+columns, config keys and sample minimum.  All randomness flows through the
+config seed (per-draw substreams, see gaussian_process), so a given config
+produces byte-identical output files.
 
 Column conventions: ``m`` carries the experiment's running index (kept-mode
 count for KL convergence, coarse grid size for dyadic refinement, interval
@@ -21,6 +23,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,6 +31,7 @@ import numpy as np
 
 from .gaussian_process import (
     CovKernel,
+    CovMatrix,
     DataError,
     cov_matrix,
     draw_normals,
@@ -59,6 +63,7 @@ __all__ = [
     "CSV_COLUMNS",
     "PATH_COLUMNS",
     "LIFT_COLUMNS",
+    "SUBCOMMANDS",
     "load_config",
     "run_convergence",
     "run_uniform_modulus",
@@ -80,15 +85,7 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (bad keys, values, or regime)."""
 
 
-_EXPERIMENTS = (
-    "convergence", "uniform-modulus", "martingale", "twovar-bound", "translation",
-    "simulate", "lift", "pvar", "rhovar",
-)
 _LIFTING = {"convergence", "uniform-modulus", "martingale", "pvar", "lift"}
-# Fewest samples per experiment; a standard error needs two draws.
-_MIN_SAMPLES = {
-    "convergence": 2, "martingale": 2, "uniform-modulus": 2, "translation": 1, "pvar": 1,
-}
 
 
 @dataclass(frozen=True)
@@ -112,14 +109,6 @@ class ExperimentConfig:
     depth: int = 3
     rho: float | None = None
     search: str = "fullgrid"
-
-    @property
-    def kernel_name(self) -> str:
-        return self.kernel.kind
-
-    @property
-    def hurst(self) -> float | None:
-        return self.kernel.hurst
 
     def effective_rho(self) -> float:
         if self.rho is not None:
@@ -184,7 +173,9 @@ def _node_pairs(key, v) -> tuple[tuple[int, int], ...]:
 
 
 def _table_kernel(path: str) -> CovKernel:
-    raw = np.loadtxt(path, delimiter=",")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty file warns, then fails at raw[0]
+        raw = np.loadtxt(path, delimiter=",")
     return CovKernel.from_table(raw[0], raw[1:])
 
 
@@ -212,39 +203,40 @@ def _kernel(key, v) -> CovKernel:
         raise ConfigError(f"bad kernel: {err}") from err
 
 
-_SAMPLED = ("convergence", "uniform-modulus", "martingale", "simulate", "lift", "pvar")
-
-# Config key -> (parser, experiments that accept it).  "kernel", "n" and
-# "seed" are required; every other key defaults to its ExperimentConfig field.
+# Config key -> parser.  "kernel", "n" and "seed" are required; every other
+# key defaults to its ExperimentConfig field.
 _SCHEMA = {
-    "kernel": (_kernel, _EXPERIMENTS),
-    "n": (_int(1), _EXPERIMENTS),
-    "seed": (_int(0), _EXPERIMENTS),
-    "d": (_int(1), _SAMPLED),
-    "samples": (_int(0), _SAMPLED + ("translation",)),
-    "p": (_number, ("convergence", "pvar")),
-    "q": (_number, ("convergence",)),
-    "alpha": (_number, ("convergence",)),
-    "rho": (_number, ("convergence", "pvar", "rhovar")),
-    "m": (_positive_ints, ("convergence",)),
-    "mode": (_choice("kl", "dyadic"), ("convergence",)),
-    "index_policy": (_choice("prefix", "random"), ("convergence",)),
-    "sets": (_int(1), ("uniform-modulus", "twovar-bound")),
-    "lengths": (_positive_ints, ("uniform-modulus",)),
-    "index_size": (_int(1), ("martingale",)),
-    "pairs": (_node_pairs, ("martingale",)),
-    "depth": (_int(1, 3), ("lift",)),
-    "search": (_choice("fullgrid", "hillclimb", "brute"), ("rhovar",)),
+    "kernel": _kernel,
+    "n": _int(1),
+    "seed": _int(0),
+    "d": _int(1),
+    "samples": _int(0),
+    "p": _number,
+    "q": _number,
+    "alpha": _number,
+    "rho": _number,
+    "m": _positive_ints,
+    "mode": _choice("kl", "dyadic"),
+    "index_policy": _choice("prefix", "random"),
+    "sets": _int(1),
+    "lengths": _positive_ints,
+    "index_size": _int(1),
+    "pairs": _node_pairs,
+    "depth": _int(1, 3),
+    "search": _choice("fullgrid", "hillclimb", "brute"),
 }
 
 
 def load_config(experiment: str, data: dict, seed_override: int | None = None) -> ExperimentConfig:
-    """Build and validate a config for one experiment from parsed JSON."""
-    if experiment not in _EXPERIMENTS:
+    """Build and validate a config for one experiment (a ``SUBCOMMANDS``
+    tag) from parsed JSON."""
+    entry = next((e for e in SUBCOMMANDS.values() if e[0] == experiment), None)
+    if entry is None:
         raise ConfigError(f"unknown experiment {experiment!r}")
+    *_, keys, min_samples = entry
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = [k for k in data if experiment not in _SCHEMA.get(k, (None, ()))[1]]
+    unknown = [k for k in data if k not in ("kernel", "n", "seed", *keys)]
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
     if seed_override is not None:
@@ -252,15 +244,15 @@ def load_config(experiment: str, data: dict, seed_override: int | None = None) -
     for key in ("kernel", "n", "seed"):
         if key not in data:
             raise ConfigError(f"missing required key {key!r}")
-    kw = {key: parse(key, data[key]) for key, (parse, _) in _SCHEMA.items() if key in data}
+    kw = {key: parse(key, data[key]) for key, parse in _SCHEMA.items() if key in data}
     if experiment == "martingale":
         kw.setdefault("index_size", min(4, kw["n"]))
     cfg = ExperimentConfig(experiment=experiment, **kw)
-    _validate_regime(cfg)
+    _validate_regime(cfg, min_samples)
     return cfg
 
 
-def _validate_regime(cfg: ExperimentConfig) -> None:
+def _validate_regime(cfg: ExperimentConfig, min_samples: int) -> None:
     k = cfg.kernel
     if cfg.experiment in _LIFTING and k.kind == "fbm" and k.hurst <= 0.25:
         raise ConfigError("lifting experiments require hurst > 1/4")
@@ -285,9 +277,8 @@ def _validate_regime(cfg: ExperimentConfig) -> None:
             raise ConfigError("convergence requires the 'm' list")
     if cfg.experiment == "pvar" and cfg.p is None:
         raise ConfigError("pvar requires p")
-    need = _MIN_SAMPLES.get(cfg.experiment, 0)
-    if cfg.samples < need:
-        raise ConfigError(f"{cfg.experiment} requires samples >= {need}")
+    if cfg.samples < min_samples:
+        raise ConfigError(f"{cfg.experiment} requires samples >= {min_samples}")
     if cfg.experiment == "convergence":
         if cfg.mode == "dyadic":
             sizes = (cfg.n,) + tuple(cfg.m)
@@ -391,31 +382,23 @@ def emit(blocks, fmt: str, path: str, columns: tuple[str, ...] = CSV_COLUMNS) ->
         fh.write(buf.getvalue())
 
 
+# Record column -> type of its cells; an empty cell reads as None.
+_CELL_TYPES = {
+    "experiment": str, "kernel": str, "hurst": float, "n": int, "m": int, "p": float,
+    "q": float, "samples": int, "statistic": str, "value": float, "stderr": float, "seed": int,
+}
+
+
 def read_records(path: str) -> list[ResultRecord]:
     """Read back a CSV produced by ``emit``."""
-    out = []
     with open(path) as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise DataError("unexpected CSV columns")
-        for row in reader:
-            out.append(
-                ResultRecord(
-                    experiment=row["experiment"],
-                    kernel=row["kernel"],
-                    hurst=float(row["hurst"]) if row["hurst"] else None,
-                    n=int(row["n"]) if row["n"] else None,
-                    m=int(row["m"]) if row["m"] else None,
-                    p=float(row["p"]) if row["p"] else None,
-                    q=float(row["q"]) if row["q"] else None,
-                    samples=int(row["samples"]) if row["samples"] else None,
-                    statistic=row["statistic"],
-                    value=float(row["value"]),
-                    stderr=float(row["stderr"]) if row["stderr"] else None,
-                    seed=int(row["seed"]) if row["seed"] else None,
-                )
-            )
-    return out
+        return [
+            ResultRecord(**{c: kind(row[c]) if row[c] else None for c, kind in _CELL_TYPES.items()})
+            for row in reader
+        ]
 
 
 def _record(cfg: ExperimentConfig, statistic: str, value: float, stderr: float | None, m: int | None):
@@ -423,8 +406,8 @@ def _record(cfg: ExperimentConfig, statistic: str, value: float, stderr: float |
         raise DataError(f"{statistic} is not finite (value {value}, stderr {stderr})")
     return ResultRecord(
         experiment=cfg.experiment,
-        kernel=cfg.kernel_name,
-        hurst=cfg.hurst,
+        kernel=cfg.kernel.kind,
+        hurst=cfg.kernel.hurst,
         n=cfg.n,
         m=m,
         p=cfg.p,
@@ -435,6 +418,11 @@ def _record(cfg: ExperimentConfig, statistic: str, value: float, stderr: float |
         stderr=None if stderr is None else float(stderr),
         seed=cfg.seed,
     )
+
+
+def _grid_cov(cfg: ExperimentConfig) -> CovMatrix:
+    """The kernel's covariance on the config's uniform grid (its ``grid``)."""
+    return cov_matrix(cfg.kernel, uniform_grid(cfg.n))
 
 
 def _child_seed(seed: int, *key: int) -> int:
@@ -483,14 +471,13 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
     """
     if cfg.mode == "dyadic":
         return _run_dyadic(cfg)
-    grid = uniform_grid(cfg.n)
-    r = cov_matrix(cfg.kernel, grid)
+    r = _grid_cov(cfg)
     basis = kl_decompose(r)
     values = sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 0))
     full_levels = signature_at(values, 3)
     alpha = cfg.alpha if cfg.alpha is not None else 1.0 / cfg.p
     holder = cfg.kernel.kind in ("brownian", "fbm")
-    reductions = (lambda t: pvar_batch(t, cfg.p), lambda t: holder_batch(t, grid.times, alpha))
+    reductions = (lambda t: pvar_batch(t, cfg.p), lambda t: holder_batch(t, r.grid.times, alpha))
 
     sets = _mode_sets(cfg, basis.rank)
     tail = np.empty((len(sets),) + values.shape)
@@ -499,7 +486,7 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
         # m = rank, where every distance to the full lift is then exactly 0.
         drop = basis.phi[a.complement(basis.rank).as_array()]
         tail[i] = np.einsum("sct,mt,mu->scu", values, drop, drop, optimize=True)
-    _, group = pair_chunks(grid.n_nodes, cfg.d, 3, len(sets), shared=True)
+    _, group = pair_chunks(r.grid.n_nodes, cfg.d, 3, len(sets), shared=True)
     parts = []
     for lo in range(0, cfg.samples, group):
         rows = slice(lo, lo + group)
@@ -528,8 +515,7 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
 def _run_dyadic(cfg: ExperimentConfig) -> list[ResultRecord]:
     # One underlying path per sample, restricted to nested dyadic grids; each
     # consecutive pair is compared on the finer grid of the two.
-    grid = uniform_grid(cfg.n)
-    r = cov_matrix(cfg.kernel, grid)
+    r = _grid_cov(cfg)
     values = sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 0))
     records = []
     for m in sorted(cfg.m):
@@ -552,8 +538,7 @@ def _run_dyadic(cfg: ExperimentConfig) -> list[ResultRecord]:
 def run_uniform_modulus(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Second moment of ||lift of a kept-mode path over [0, l]|| across random
     mode sets, with a log-log slope over the interval lengths."""
-    grid = uniform_grid(cfg.n)
-    r = cov_matrix(cfg.kernel, grid)
+    r = _grid_cov(cfg)
     basis = kl_decompose(r)
     rank = basis.rank
     lengths = cfg.lengths or tuple(
@@ -640,12 +625,11 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
     motion and fbm), so that levels that vanish structurally (all of degree
     2 and 3 when d = 1) are not scored on their own rounding.
     """
-    grid = uniform_grid(cfg.n)
-    r = cov_matrix(cfg.kernel, grid)
+    r = _grid_cov(cfg)
     sigma = math.sqrt(float(np.max(np.diagonal(r.entries))))
     basis = kl_decompose(r)
     a = IndexSet.prefix(min(cfg.index_size, basis.rank))
-    x_full = SamplePath(grid, sample_values(r, cfg.d, 1, _child_seed(cfg.seed, 3))[0])
+    x_full = SamplePath(r.grid, sample_values(r, cfg.d, 1, _child_seed(cfg.seed, 3))[0])
     x_a = project(x_full, basis, a)
     pairs = cfg.pairs or ((0, cfg.n), (0, cfg.n // 2), (cfg.n // 4, 3 * cfg.n // 4))
 
@@ -685,8 +669,7 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
 def run_2var_bound(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Full-grid 2D 2-variation of kept-mode covariances never exceeds the
     full covariance's (same dissection both sides)."""
-    grid = uniform_grid(cfg.n)
-    r = cov_matrix(cfg.kernel, grid)
+    r = _grid_cov(cfg)
     basis = kl_decompose(r)
     full_val = rho_var_2d(r.entries, 2.0, "fullgrid")
     rng = np.random.default_rng([cfg.seed, 303])
@@ -703,17 +686,16 @@ def run_2var_bound(cfg: ExperimentConfig) -> list[ResultRecord]:
 def run_translation_check(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Removing a kept-mode prefix then projecting equals projecting onto the
     band directly, for every prefix pair; reports the worst deviation."""
-    grid = uniform_grid(cfg.n)
-    r = cov_matrix(cfg.kernel, grid)
+    r = _grid_cov(cfg)
     basis = kl_decompose(r)
     rank = basis.rank
     worst = 0.0
     values = sample_values(r, 1, cfg.samples, _child_seed(cfg.seed, 6))
     for k in range(cfg.samples):
-        x = SamplePath(grid, values[k])
+        x = SamplePath(r.grid, values[k])
         removed = {m: project(x, basis, IndexSet.prefix(m)) for m in range(rank + 1)}
         for a_sz in range(rank + 1):
-            y = SamplePath(grid, x.values - removed[a_sz].values)
+            y = SamplePath(r.grid, x.values - removed[a_sz].values)
             for b_sz in range(a_sz + 1, rank + 1):
                 lhs = project(y, basis, IndexSet.prefix(b_sz))
                 rhs = project(x, basis, IndexSet.of(range(a_sz, b_sz)))
@@ -723,8 +705,7 @@ def run_translation_check(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 def run_simulate(cfg: ExperimentConfig) -> np.ndarray:
     """Sampled path values, shape (samples, d, n_nodes)."""
-    grid = uniform_grid(cfg.n)
-    r = cov_matrix(cfg.kernel, grid)
+    r = _grid_cov(cfg)
     return sample_values(r, cfg.d, cfg.samples, cfg.seed)
 
 
@@ -768,8 +749,7 @@ def lift_blocks(cfg: ExperimentConfig) -> list:
 
 def run_pvar(cfg: ExperimentConfig) -> list[ResultRecord]:
     """p-variation norm of each sampled lift (per-sample rows)."""
-    grid = uniform_grid(cfg.n)
-    r = cov_matrix(cfg.kernel, grid)
+    r = _grid_cov(cfg)
     levels = signature_at(sample_values(r, cfg.d, cfg.samples, cfg.seed), 3)
     (vals,) = reduce_pair_dists(levels, None, lambda t: pvar_batch(t, cfg.p))
     return [_record(cfg, "pvar_norm", val, None, s) for s, val in enumerate(vals)]
@@ -777,7 +757,40 @@ def run_pvar(cfg: ExperimentConfig) -> list[ResultRecord]:
 
 def run_rhovar(cfg: ExperimentConfig) -> list[ResultRecord]:
     """2D rho-variation of the kernel's grid covariance."""
-    grid = uniform_grid(cfg.n)
-    r = cov_matrix(cfg.kernel, grid)
+    r = _grid_cov(cfg)
     val = rho_var_2d(r.entries, cfg.effective_rho(), cfg.search, seed=cfg.seed)
     return [_record(cfg, f"rho_var_2d_{cfg.search}", val, None, None)]
+
+
+def _records(run):
+    """Record runner ``run`` as a producer of its one ``emit`` block."""
+
+    def blocks(cfg: ExperimentConfig) -> list:
+        return [((), run(cfg), None)]
+
+    return blocks
+
+
+# Subcommand -> (experiment tag written to the output, config -> emit blocks,
+# output columns, config keys accepted beyond "kernel", "n" and "seed", fewest
+# samples; a standard error needs two draws).
+SUBCOMMANDS = {
+    "simulate": ("simulate", simulate_blocks, PATH_COLUMNS, ("d", "samples"), 0),
+    "lift": ("lift", lift_blocks, LIFT_COLUMNS, ("d", "samples", "depth"), 0),
+    "kl-converge": (
+        "convergence", _records(run_convergence), CSV_COLUMNS,
+        ("d", "samples", "p", "q", "alpha", "rho", "m", "mode", "index_policy"), 2,
+    ),
+    "uniform-modulus": (
+        "uniform-modulus", _records(run_uniform_modulus), CSV_COLUMNS,
+        ("d", "samples", "sets", "lengths"), 2,
+    ),
+    "martingale-check": (
+        "martingale", _records(run_martingale_checks), CSV_COLUMNS,
+        ("d", "samples", "index_size", "pairs"), 2,
+    ),
+    "twovar-bound": ("twovar-bound", _records(run_2var_bound), CSV_COLUMNS, ("sets",), 0),
+    "translate-check": ("translation", _records(run_translation_check), CSV_COLUMNS, ("samples",), 1),
+    "pvar": ("pvar", _records(run_pvar), CSV_COLUMNS, ("d", "samples", "p", "rho"), 1),
+    "rhovar": ("rhovar", _records(run_rhovar), CSV_COLUMNS, ("rho", "search"), 0),
+}

@@ -172,18 +172,6 @@ class TensorElement:
     def scalar(self) -> float:
         return float(self.levels[0])
 
-    @property
-    def level1(self) -> np.ndarray:
-        return self.levels[1]
-
-    @property
-    def level2(self) -> np.ndarray | None:
-        return self.levels[2] if self.depth >= 2 else None
-
-    @property
-    def level3(self) -> np.ndarray | None:
-        return self.levels[3] if self.depth >= 3 else None
-
 
 class GroupElement(TensorElement):
     """Group-like element: scalar part 1; shuffle identities hold for lifts."""

@@ -36,8 +36,8 @@ from gaussrough import (
     run_uniform_modulus,
     uniform_grid,
 )
-from gaussrough.cli import _SUBCOMMANDS, main
-from gaussrough.experiments import _SCHEMA, _child_seed, _mode_sets, _q_mean, _record
+from gaussrough.cli import main
+from gaussrough.experiments import SUBCOMMANDS, _SCHEMA, _child_seed, _mode_sets, _q_mean, _record
 from gaussrough.gaussian_process import cov_matrix, sample_values
 from gaussrough.karhunen_loeve import kl_decompose
 from gaussrough.path_lift import signature_at
@@ -52,13 +52,13 @@ def base(experiment, **kw):
 
 def test_load_config_basics():
     cfg = base("rhovar")
-    assert cfg.kernel_name == "brownian" and cfg.n == 8 and cfg.seed == 1
+    assert cfg.kernel.kind == "brownian" and cfg.n == 8 and cfg.seed == 1
     assert cfg.effective_rho() == 1.0
     cfg = load_config(
         "rhovar", {"kernel": {"kind": "fbm", "hurst": 0.4}, "n": 8, "seed": 0}
     )
     assert abs(cfg.effective_rho() - 1.25) <= 1e-15
-    assert cfg.hurst == 0.4
+    assert cfg.kernel.hurst == 0.4
 
 
 def test_seed_override():
@@ -94,7 +94,7 @@ def test_regime_validation():
     with pytest.raises(ConfigError):
         load_config("pvar", dict(rough, p=6.0, samples=1))
     cfg = load_config("rhovar", dict(rough))
-    assert cfg.hurst == 0.2
+    assert cfg.kernel.hurst == 0.2
     # effective rho for fbm raises the p threshold.
     h35 = {"kernel": {"kind": "fbm", "hurst": 0.35}, "n": 8, "seed": 0}
     with pytest.raises(ConfigError):
@@ -834,19 +834,40 @@ def test_cli_non_finite_statistic_exit_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("data error: pvar_norm is not finite")
 
 
-def test_cli_process_overflow_one_stderr_line(tmp_path):
+@pytest.mark.parametrize(
+    "config, code, message",
+    [
+        (dict(BROWNIAN, d=2, samples=3, p=1e300), 3, "data error: pvar_norm is not finite"),
+        # numpy's loadtxt warns on an empty file before the kernel fails.
+        (dict(PVAR, kernel={"kind": "table", "path": "empty.csv"}), 2, "config error: bad kernel"),
+    ],
+    ids=["overflow", "empty-table"],
+)
+def test_cli_process_overflow_one_stderr_line(tmp_path, config, code, message):
     # Run as a user would: no pytest warning capture between numpy and stderr.
+    (tmp_path / "empty.csv").write_text("")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(dict(BROWNIAN, d=2, samples=3, p=1e300)))
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "out.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(gaussrough.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "gaussrough.cli", "pvar", "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path,
     )
-    assert proc.returncode == 3 and not out.exists()
+    assert proc.returncode == code and not out.exists()
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("data error: pvar_norm is not finite")
+    assert len(lines) == 1 and lines[0].startswith(message)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_cli_failed_write_exit_2(tmp_path, capsys):
+    # /dev/full passes the --out checks, then every write to it fails.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BROWNIAN))
+    code = main(["rhovar", "--config", str(cfg), "--out", "/dev/full"])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1
+    assert err.startswith("config error: cannot write --out '/dev/full'")
 
 
 def test_cli_lift_overflow_exit_3(tmp_path, capsys):
@@ -931,7 +952,7 @@ def test_cli_long_format_matches_row_writer(tmp_path, name, kernel):
     table.write_text("0,0.5,1\n0,0,0\n0,0,0\n0,0,1\n")
     kernels = {"brownian": {"kind": "brownian"}, "fbm": {"kind": "fbm", "hurst": 0.4},
                "table": {"kind": "table", "path": str(table)}}
-    experiment, _, columns = _SUBCOMMANDS[name]
+    experiment, _, columns, _, _ = SUBCOMMANDS[name]
     reference = {"simulate": _reference_simulate_rows, "lift": _reference_lift_rows}[name]
     depths = [1, 2, 3] if name == "lift" else [None]
     for d, depth, n, samples in itertools.product([1, 2, 3], depths, [1, 5], [0, 2]):
@@ -1010,12 +1031,12 @@ def test_readme_key_table_matches_schema():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if line.startswith("| `") and len(cells) == 3:
             table[cells[0].strip("`")] = set(re.findall(r"`([a-z_]+)`", cells[1]))
-    universal = {"kernel", "n", "seed"}
-    schema = {
-        sub: {key for key, (_, exps) in _SCHEMA.items() if experiment in exps} - universal
-        for sub, (experiment, _, _) in _SUBCOMMANDS.items()
-    }
-    assert table == schema
+    assert table == {sub: set(keys) for sub, (_, _, _, keys, _) in SUBCOMMANDS.items()}
+    # Every accepted key has a parser (load_config drops keys without one),
+    # and every parsed key is accepted somewhere; no two subcommands share a tag.
+    entries = SUBCOMMANDS.values()
+    assert set().union(*(keys for *_, keys, _ in entries)) == set(_SCHEMA) - {"kernel", "n", "seed"}
+    assert len({tag for tag, *_ in entries}) == len(SUBCOMMANDS)
 
 
 # Valid values for every schema key except the universal ones, with n <= 8.
@@ -1063,8 +1084,7 @@ _BAD = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_cli_fuzz_exit_codes(data):
-    sub = data.draw(st.sampled_from(sorted(_SUBCOMMANDS)))
-    experiment = _SUBCOMMANDS[sub][0]
+    sub = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
     config = {
         "kernel": data.draw(st.one_of(
             st.just({"kind": "brownian"}),
@@ -1075,7 +1095,7 @@ def test_cli_fuzz_exit_codes(data):
         "n": data.draw(st.integers(1, 8)),
         "seed": data.draw(st.integers(0, 2**32)),
     }
-    keys = [key for key, (_, exps) in _SCHEMA.items() if key in _GOOD and experiment in exps]
+    keys = SUBCOMMANDS[sub][3]
     omit = data.draw(st.sets(st.sampled_from(keys), max_size=2))
     config.update({key: data.draw(_GOOD[key]) for key in keys if key not in omit})
     # Half the configs get up to two wrong values or unknown keys.
