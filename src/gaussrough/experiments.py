@@ -174,8 +174,14 @@ def _node_pairs(key, v) -> tuple[tuple[int, int], ...]:
 
 def _table_kernel(path: str) -> CovKernel:
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # an empty file warns, then fails at raw[0]
-        raw = np.loadtxt(path, delimiter=",")
+        warnings.simplefilter("ignore")  # an empty file warns
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    k = raw.shape[1]
+    if raw.shape != (k + 1, k) or k < 2:
+        found = f"shape {raw.shape}" if raw.size else "no values"
+        raise ValueError(
+            f"a table file holds one row of k times, then k rows of k values (k >= 2); found {found}"
+        )
     return CovKernel.from_table(raw[0], raw[1:])
 
 
@@ -199,7 +205,7 @@ def _kernel(key, v) -> CovKernel:
     args = [parse(name, v[name]) for name, parse in params.items()]
     try:
         return make(*args)
-    except (ValueError, OSError, IndexError) as err:  # IndexError: a table of one value or none
+    except (ValueError, OSError) as err:
         raise ConfigError(f"bad kernel: {err}") from err
 
 
@@ -758,7 +764,15 @@ def run_pvar(cfg: ExperimentConfig) -> list[ResultRecord]:
 def run_rhovar(cfg: ExperimentConfig) -> list[ResultRecord]:
     """2D rho-variation of the kernel's grid covariance."""
     r = _grid_cov(cfg)
-    val = rho_var_2d(r.entries, cfg.effective_rho(), cfg.search, seed=cfg.seed)
+    rho = cfg.effective_rho()
+    val = rho_var_2d(r.entries, rho, cfg.search, seed=cfg.seed)
+    # A zero sum is exact only when every grid cell, hence every rectangular
+    # increment, is zero; otherwise each |cell|^rho underflowed.
+    if val == 0.0 and np.any(np.diff(np.diff(r.entries, axis=0), axis=1)):
+        raise DataError(
+            f"rho-variation underflows at rho={rho:g}: every |rectangular increment|^rho"
+            " rounds to 0 though the covariance has a nonzero one"
+        )
     return [_record(cfg, f"rho_var_2d_{cfg.search}", val, None, None)]
 
 

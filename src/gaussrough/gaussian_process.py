@@ -27,13 +27,18 @@ tolerance here is relative to the matrix's own scale.
 
 Reproducibility contract: draw k of a call with seed s uses the generator
 ``np.random.default_rng([s, k])``, so each draw has its own substream and
-results are independent of batching or evaluation order.  ``draw_normals``,
-the one place that builds these generators, and ``sample_values`` are this
-module's part of the batch layer (see ``tensor_group``): draw index first.
+results are independent of batching or evaluation order.  The generator
+states of a call are derived in one batch, vectorized over the draws, and
+equal those of ``default_rng([s, k])`` bit for bit; one generator per call
+takes each state in turn.  ``draw_normals``, the one place that derives these
+states, and ``sample_values`` are this module's part of the batch layer (see
+``tensor_group``): draw index first.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -205,14 +210,117 @@ def cov_matrix(kernel: CovKernel, grid: TimeGrid) -> CovMatrix:
     return r
 
 
+# numpy's SeedSequence (O'Neill's seed_seq_fe) hash constants and PCG64's
+# 128-bit multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_X, _MIX_Y = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, calls) -> tuple[np.ndarray, np.ndarray]:
+    """Xor and multiply constants of the numbered hash calls, as uint32
+    columns: call c xors init * mult^c and multiplies by init * mult^(c+1)."""
+    calls = np.asarray(calls)
+    h = [init]
+    for _ in range(calls.max() + 1):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, dtype=np.uint32)
+    return h[calls, None], h[calls + 1, None]
+
+
+_FILL = _hash_consts(_INIT_A, _MULT_A, range(4))
+# Mixing step src hashes pool word src once for each other word dst, in
+# order, with hash call 4 + 3 src + (position of dst among the other three);
+# the row of src itself is computed and discarded.
+_MIXING = [
+    _hash_consts(_INIT_A, _MULT_A, [4 + 3 * src + dst - (dst > src) for dst in range(4)])
+    for src in range(4)
+]
+# Output word 4 j + i hashes pool word i; shape (2, 4, 1) to broadcast.
+_OUT = tuple(c.reshape(2, 4, 1) for c in _hash_consts(_INIT_B, _MULT_B, range(8)))
+
+
+def _hashmix(v: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    v = v ^ consts[0]
+    v *= consts[1]
+    v ^= v >> _SHIFT
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_X
+    r -= y * _MIX_Y
+    r ^= r >> _SHIFT
+    return r
+
+
+def _pcg64_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
+    """(state, inc) of ``np.random.default_rng([seed, k])``'s PCG64 for
+    k = first..first+count-1, in one pass vectorized over the draws.
+
+    This is numpy's ``SeedSequence`` with a pool of four uint32 words, its
+    ``generate_state(4, np.uint64)``, then PCG64's set-seed.  The entropy of
+    draw k is seed's words, then k's (one word below 2^32, else two).  An
+    entropy shorter than the pool is zero-padded, which is how the pool is
+    filled too, so only words past the pool are skipped per draw.
+    """
+    if first < 0 or first + count > 1 << 64:
+        raise ValueError("draw indices must lie in [0, 2**64)")
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    nw = max(1, -(-seed.bit_length() // 32))  # 0 is one word
+    seed_words = [seed >> 32 * i & _MASK32 for i in range(nw)]
+    ks = np.arange(first, first + count, dtype=np.uint64)
+    entropy = np.zeros((max(nw + 2, 4), count), dtype=np.uint32)
+    entropy[:nw] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[nw] = ks  # the low word: assignment truncates
+    entropy[nw + 1] = ks >> 32
+    length = nw + 1 + (entropy[nw + 1] > 0)
+
+    pool = _hashmix(entropy[:4], _FILL)
+    for src, consts in enumerate(_MIXING):
+        mixed = _mix(pool, _hashmix(pool[src], consts))
+        mixed[src] = pool[src]
+        pool = mixed
+    # Word s >= 4, past the pool, is mixed into every pool word with hash
+    # calls 4 s .. 4 s + 3.
+    for s in range(4, entropy.shape[0]):
+        consts = _hash_consts(_INIT_A, _MULT_A, range(4 * s, 4 * s + 4))
+        mixed = _mix(pool, _hashmix(entropy[s], consts))
+        pool = np.where(s < length, mixed, pool)
+
+    words = _hashmix(pool, _OUT).reshape(8, count).astype(np.uint64)
+    u = words[0::2] | words[1::2] << np.uint64(32)
+    states = []
+    for u0, u1, u2, u3 in u.T.tolist():
+        inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
+        states.append((((inc + (u0 << 64 | u1)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def draw_normals(seed: int, count: int, shape: tuple[int, ...], first: int = 0) -> np.ndarray:
     """Standard normals of draws first..first+count-1, shape (count,) + shape.
 
-    Draw k comes from its own generator ``np.random.default_rng([seed, k])``.
+    Draw k is ``np.random.default_rng([seed, k]).standard_normal(shape)``
+    bit for bit.  The generator states of all draws are derived in one batch
+    (``_pcg64_states``) and set in turn on one generator built per call.
     """
     out = np.empty((count,) + shape)
-    for k in range(count):
-        out[k] = np.random.default_rng([seed, first + k]).standard_normal(shape)
+    flat = out.reshape(count, math.prod(shape))
+    bits = np.random.PCG64(0)  # every draw replaces this state
+    gen = np.random.Generator(bits)
+    for k, (state, inc) in enumerate(_pcg64_states(operator.index(seed), first, count)):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=flat[k])
     return out
 
 

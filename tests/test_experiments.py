@@ -835,17 +835,53 @@ def test_cli_non_finite_statistic_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "table, rho, search",
+    [(None, 600, "fullgrid"), ("tiny", 30, "fullgrid"), ("tiny", 30, "hillclimb")],
+)
+def test_cli_rhovar_underflow_exit_3(tmp_path, capsys, table, rho, search):
+    # Every |cell|^rho underflows: Brownian motion at n=4 (rho-variation about
+    # 0.2506 at rho=600), or Brownian motion times 1e-14 at rho=30.
+    config = dict(BROWNIAN, n=4, rho=rho, search=search)
+    if table:
+        (tmp_path / "cov.csv").write_text(_TABLES[table])
+        config["kernel"] = {"kind": "table", "path": str(tmp_path / "cov.csv")}
+    code, out = run_cli(tmp_path, "rhovar", config)
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("data error: rho-variation underflows")
+
+
+def test_cli_rhovar_zero_covariance_is_zero(tmp_path):
+    # An exactly zero covariance has rho-variation 0 at any rho.
+    (tmp_path / "cov.csv").write_text(_TABLES["zero"])
+    kernel = {"kind": "table", "path": str(tmp_path / "cov.csv")}
+    code, out = run_cli(tmp_path, "rhovar", dict(BROWNIAN, n=4, kernel=kernel, rho=600))
+    assert code == 0
+    assert [row["value"] for row in csv.DictReader(out.open())] == ["0.0"]
+
+
+@pytest.mark.parametrize(
     "config, code, message",
     [
         (dict(BROWNIAN, d=2, samples=3, p=1e300), 3, "data error: pvar_norm is not finite"),
         # numpy's loadtxt warns on an empty file before the kernel fails.
-        (dict(PVAR, kernel={"kind": "table", "path": "empty.csv"}), 2, "config error: bad kernel"),
+        (
+            dict(PVAR, kernel={"kind": "table", "path": "empty.csv"}), 2,
+            "config error: bad kernel: a table file holds one row of k times, then k rows"
+            " of k values (k >= 2); found no values",
+        ),
+        (
+            dict(PVAR, kernel={"kind": "table", "path": "one.csv"}), 2,
+            "config error: bad kernel: a table file holds one row of k times, then k rows"
+            " of k values (k >= 2); found shape (1, 1)",
+        ),
     ],
-    ids=["overflow", "empty-table"],
+    ids=["overflow", "empty-table", "one-value-table"],
 )
 def test_cli_process_overflow_one_stderr_line(tmp_path, config, code, message):
     # Run as a user would: no pytest warning capture between numpy and stderr.
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "one.csv").write_text("5\n")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out.csv"

@@ -13,7 +13,7 @@ from gaussrough import (
     uniform_grid,
 )
 from gaussrough.cli import main
-from gaussrough.gaussian_process import sample_values
+from gaussrough.gaussian_process import draw_normals, sample_values
 from gaussrough.karhunen_loeve import kl_decompose
 
 
@@ -285,6 +285,23 @@ def test_sampling_chunked_matches_full():
     assert np.array_equal(full, np.concatenate([head, tail], axis=0))
     # The three calls share one factorization, made on first use.
     assert r.factor is r.factor
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**200 + 1])
+def test_draw_normals_matches_default_rng_per_draw(seed):
+    # The reproducibility contract itself: draw k is default_rng([seed, k])'s
+    # stream, bit for bit.  first = 2**32 - 2 crosses k into two words.
+    for first in (0, 2**32 - 2):
+        for count in (0, 1, 5):
+            for shape in ((), (3,), (2, 5)):
+                got = draw_normals(seed, count, shape, first)
+                want = np.array(
+                    [np.random.default_rng([seed, first + k]).standard_normal(shape)
+                     for k in range(count)]
+                ).reshape((count,) + shape)
+                assert np.array_equal(got, want), (first, count, shape)
+    with pytest.raises(ValueError):
+        draw_normals(-1 - seed, 1, (3,))
 
 
 def test_sampling_starts_at_zero():
