@@ -9,6 +9,16 @@ columns, config keys and sample minimum.  All randomness flows through the
 config seed (per-draw substreams, see gaussian_process), so a given config
 produces byte-identical output files.
 
+Scale: every runner works on the grid covariance divided by 4^e, with e
+chosen by ``_grid_cov`` (0 for Brownian motion and fbm), and multiplies each
+output by 2^(e * degree) with ``np.ldexp``, which is exact.  The degree is 1
+for path values, the distances ``kl_*``, ``dyadic_*`` and ``pvar_norm``, and
+``translation_max_abs_err``; m for lift coordinates of level m; 2 for
+``modulus_sq_mean``, ``twovar_*`` and ``rho_var_2d_*``; and 0 for the
+z-scores ``cond_*`` and ``uncond_*`` and for ``modulus_slope``.  So the
+outputs for 4^k times a table are those for the table times 2^(k * degree),
+bit for bit, and an output that cannot be represented is inf, a data error.
+
 Column conventions: ``m`` carries the experiment's running index (kept-mode
 count for KL convergence, coarse grid size for dyadic refinement, interval
 length in segments for modulus rows, sample index for per-sample rows); rows
@@ -407,7 +417,28 @@ def read_records(path: str) -> list[ResultRecord]:
         ]
 
 
-def _record(cfg: ExperimentConfig, statistic: str, value: float, stderr: float | None, m: int | None):
+# Statistic name prefix -> degree: the statistic of 4^e times a covariance is
+# 2^(e * degree) times the statistic of the covariance.
+_DEGREES = {
+    "kl_": 1, "dyadic_": 1, "pvar_norm": 1, "translation_max_abs_err": 1,
+    "modulus_sq_mean": 2, "twovar_": 2, "rho_var_2d_": 2,
+    "cond_": 0, "uncond_": 0, "modulus_slope": 0,
+}
+
+
+def _rescaled(x, shift: int):
+    """x times 2^shift, exactly; inf where that cannot be represented."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, shift)
+
+
+def _record(
+    cfg: ExperimentConfig, e: int, statistic: str, value: float, stderr: float | None, m: int | None
+):
+    # The runners work on the covariance divided by 4^e (see ``_grid_cov``).
+    shift = e * next(deg for prefix, deg in _DEGREES.items() if statistic.startswith(prefix))
+    value = float(_rescaled(value, shift))
+    stderr = None if stderr is None else float(_rescaled(stderr, shift))
     if not math.isfinite(value) or (stderr is not None and not math.isfinite(stderr)):
         raise DataError(f"{statistic} is not finite (value {value}, stderr {stderr})")
     return ResultRecord(
@@ -420,15 +451,29 @@ def _record(cfg: ExperimentConfig, statistic: str, value: float, stderr: float |
         q=cfg.q,
         samples=cfg.samples or None,
         statistic=statistic,
-        value=float(value),
-        stderr=None if stderr is None else float(stderr),
+        value=value,
+        stderr=stderr,
         seed=cfg.seed,
     )
 
 
-def _grid_cov(cfg: ExperimentConfig) -> CovMatrix:
-    """The kernel's covariance on the config's uniform grid (its ``grid``)."""
-    return cov_matrix(cfg.kernel, uniform_grid(cfg.n))
+def _grid_cov(cfg: ExperimentConfig) -> tuple[CovMatrix, int]:
+    """The kernel's covariance on the config's uniform grid (its ``grid``),
+    divided by 4^e, and e.
+
+    For a table kernel e puts the largest absolute table value, which for a
+    PSD table is its largest variance, in [1, 4), so no scaled entry can
+    overflow; e is 0 for an all-zero table.  Brownian motion and fbm have
+    variance 1 at t = 1, so e = 0.  A power-of-two factor commutes exactly
+    with the bilinear interpolation, so a table and 4^k times it give the
+    same bits.
+    """
+    kernel, e = cfg.kernel, 0
+    if kernel.kind == "table":
+        top = float(np.max(np.abs(kernel.table_values)))
+        e = (math.frexp(top)[1] - 1) // 2 if top > 0.0 else 0
+        kernel = CovKernel.from_table(kernel.table_times, np.ldexp(kernel.table_values, -2 * e))
+    return cov_matrix(kernel, uniform_grid(cfg.n)), e
 
 
 def _child_seed(seed: int, *key: int) -> int:
@@ -477,7 +522,7 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
     """
     if cfg.mode == "dyadic":
         return _run_dyadic(cfg)
-    r = _grid_cov(cfg)
+    r, e = _grid_cov(cfg)
     basis = kl_decompose(r)
     values = sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 0))
     full_levels = signature_at(values, 3)
@@ -514,14 +559,14 @@ def run_convergence(cfg: ExperimentConfig) -> list[ResultRecord]:
             if not holder and "holder" in name:
                 continue
             value, se = _q_mean(data[i], cfg.q)
-            records.append(_record(cfg, name, value, se, m))
+            records.append(_record(cfg, e, name, value, se, m))
     return records
 
 
 def _run_dyadic(cfg: ExperimentConfig) -> list[ResultRecord]:
     # One underlying path per sample, restricted to nested dyadic grids; each
     # consecutive pair is compared on the finer grid of the two.
-    r = _grid_cov(cfg)
+    r, e = _grid_cov(cfg)
     values = sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 0))
     records = []
     for m in sorted(cfg.m):
@@ -537,14 +582,14 @@ def _run_dyadic(cfg: ExperimentConfig) -> list[ResultRecord]:
             signature_at(interp, 3), signature_at(fine_vals, 3), lambda t: pvar_batch(t, cfg.p)
         )
         value, se = _q_mean(dists, cfg.q)
-        records.append(_record(cfg, "dyadic_pvar_qmean", value, se, m))
+        records.append(_record(cfg, e, "dyadic_pvar_qmean", value, se, m))
     return records
 
 
 def run_uniform_modulus(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Second moment of ||lift of a kept-mode path over [0, l]|| across random
     mode sets, with a log-log slope over the interval lengths."""
-    r = _grid_cov(cfg)
+    r, e = _grid_cov(cfg)
     basis = kl_decompose(r)
     rank = basis.rank
     lengths = cfg.lengths or tuple(
@@ -573,7 +618,7 @@ def run_uniform_modulus(cfg: ExperimentConfig) -> list[ResultRecord]:
         top = int(np.argmax(means))
         sq = per_length[l][top]
         se = float(np.std(sq, ddof=1) / math.sqrt(sq.size))
-        records.append(_record(cfg, "modulus_sq_mean", float(means[top]), se, l))
+        records.append(_record(cfg, e, "modulus_sq_mean", float(means[top]), se, l))
         worst.append(float(means[top]))
     if len(set(lengths)) >= 2:
         if min(worst) <= 0.0:
@@ -581,7 +626,7 @@ def run_uniform_modulus(cfg: ExperimentConfig) -> list[ResultRecord]:
         log_x = [math.log(l / cfg.n) for l in lengths]
         log_y = [math.log(v) for v in worst]
         slope, se = _ols_slope(np.array(log_x), np.array(log_y))
-        records.append(_record(cfg, "modulus_slope", slope, se, None))
+        records.append(_record(cfg, e, "modulus_slope", slope, se, None))
     return records
 
 
@@ -596,16 +641,18 @@ def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def _max_z(diff_levels, se_levels, scales=None, rtol: float = 1e-12) -> float:
     """Worst |diff|/se over coordinates.  A difference of at most rtol times
-    scale counts as zero, where scale is the size of that level's compared
-    values (None: unit scale).  Structurally zero coordinates carry rounding
-    differences of that size, over rounding-level standard errors."""
+    max(1, scale) counts as zero, where scale is the size of that level's
+    compared values (None: 0); the runners work at unit scale (see
+    ``_grid_cov``).  Structurally zero coordinates, such as every coordinate
+    of degree 2 and 3 when d = 1, carry rounding differences of that size,
+    over rounding-level standard errors."""
     if scales is None:
-        scales = [1.0] * len(diff_levels)
+        scales = [0.0] * len(diff_levels)
     worst = 0.0
     for diff, se, scale in zip(diff_levels, se_levels, scales):
         d = np.abs(np.asarray(diff))
         s = np.asarray(se)
-        mask = d > rtol * scale
+        mask = d > rtol * max(1.0, scale)
         if not np.any(mask):
             continue
         with np.errstate(divide="ignore"):
@@ -625,14 +672,8 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
     degree-3 correction (z-scores per coordinate); with the correction zeroed
     the degree-3 row measures the test's power.  Also checks that the
     unconditional mean of the log-lift vanishes.
-
-    The zero threshold of degree k is relative to the larger of the compared
-    values and sigma^k, sigma^2 the largest node variance (1 for Brownian
-    motion and fbm), so that levels that vanish structurally (all of degree
-    2 and 3 when d = 1) are not scored on their own rounding.
     """
-    r = _grid_cov(cfg)
-    sigma = math.sqrt(float(np.max(np.diagonal(r.entries))))
+    r, e = _grid_cov(cfg)
     basis = kl_decompose(r)
     a = IndexSet.prefix(min(cfg.index_size, basis.rank))
     x_full = SamplePath(r.grid, sample_values(r, cfg.d, 1, _child_seed(cfg.seed, 3))[0])
@@ -656,8 +697,8 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
         ]
         for name, k, ref in checks:
             mean = mean_log.levels[k]
-            z = _max_z([mean - ref], [se[k - 1]], [max(sigma**k, _abs_max(mean, ref))])
-            records.append(_record(cfg, f"{name}:{tag}", z, None, None))
+            z = _max_z([mean - ref], [se[k - 1]], [_abs_max(mean, ref)])
+            records.append(_record(cfg, e, f"{name}:{tag}", z, None, None))
     # Unconditional: the mean log-lift vanishes at every node.
     values = sample_values(r, cfg.d, cfg.samples, _child_seed(cfg.seed, 5))
     targets = {cfg.n // 2, cfg.n}  # iterated in set order, which fixes the record order
@@ -667,15 +708,15 @@ def run_martingale_checks(cfg: ExperimentConfig) -> list[ResultRecord]:
         logs = log_levels([lv[:, nodes.index(t)] for lv in levels])
         diffs = [np.mean(lv, axis=0) for lv in logs[1:]]
         ses = [np.std(lv, axis=0, ddof=1) / math.sqrt(cfg.samples) for lv in logs[1:]]
-        scales = [max(sigma**k, _abs_max(lv)) for k, lv in enumerate(logs[1:], start=1)]
-        records.append(_record(cfg, f"uncond_max_z:{t}", _max_z(diffs, ses, scales), None, None))
+        scales = [_abs_max(lv) for lv in logs[1:]]
+        records.append(_record(cfg, e, f"uncond_max_z:{t}", _max_z(diffs, ses, scales), None, None))
     return records
 
 
 def run_2var_bound(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Full-grid 2D 2-variation of kept-mode covariances never exceeds the
     full covariance's (same dissection both sides)."""
-    r = _grid_cov(cfg)
+    r, e = _grid_cov(cfg)
     basis = kl_decompose(r)
     full_val = rho_var_2d(r.entries, 2.0, "fullgrid")
     rng = np.random.default_rng([cfg.seed, 303])
@@ -684,15 +725,15 @@ def run_2var_bound(cfg: ExperimentConfig) -> list[ResultRecord]:
         sub_val = rho_var_2d(partial_cov(basis, IndexSet.of(sel)).entries, 2.0, "fullgrid")
         worst = max(worst, sub_val - full_val)
     return [
-        _record(cfg, "twovar_gap_max", worst, None, None),
-        _record(cfg, "twovar_full_value", full_val, None, None),
+        _record(cfg, e, "twovar_gap_max", worst, None, None),
+        _record(cfg, e, "twovar_full_value", full_val, None, None),
     ]
 
 
 def run_translation_check(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Removing a kept-mode prefix then projecting equals projecting onto the
     band directly, for every prefix pair; reports the worst deviation."""
-    r = _grid_cov(cfg)
+    r, e = _grid_cov(cfg)
     basis = kl_decompose(r)
     rank = basis.rank
     worst = 0.0
@@ -706,21 +747,22 @@ def run_translation_check(cfg: ExperimentConfig) -> list[ResultRecord]:
                 lhs = project(y, basis, IndexSet.prefix(b_sz))
                 rhs = project(x, basis, IndexSet.of(range(a_sz, b_sz)))
                 worst = max(worst, float(np.max(np.abs(lhs.values - rhs.values))))
-    return [_record(cfg, "translation_max_abs_err", worst, None, None)]
+    return [_record(cfg, e, "translation_max_abs_err", worst, None, None)]
 
 
 def run_simulate(cfg: ExperimentConfig) -> np.ndarray:
     """Sampled path values, shape (samples, d, n_nodes)."""
-    r = _grid_cov(cfg)
-    return sample_values(r, cfg.d, cfg.samples, cfg.seed)
+    r, e = _grid_cov(cfg)
+    return _rescaled(sample_values(r, cfg.d, cfg.samples, cfg.seed), e)
 
 
 def run_lift(cfg: ExperimentConfig) -> list[np.ndarray]:
     """Log coordinates of the lifted samples, one array per degree 1..depth;
-    degree k has shape (samples, n_nodes) + (d,)*k."""
-    values = run_simulate(cfg)
-    levels = signature_at(values, cfg.depth)
-    return log_levels(levels)[1:]
+    degree k has shape (samples, n_nodes) + (d,)*k.  The unit-scale samples
+    are lifted, and degree k is rescaled by 2^(e k)."""
+    r, e = _grid_cov(cfg)
+    levels = signature_at(sample_values(r, cfg.d, cfg.samples, cfg.seed), cfg.depth)
+    return [_rescaled(lv, e * k) for k, lv in enumerate(log_levels(levels)[1:], start=1)]
 
 
 def simulate_blocks(cfg: ExperimentConfig) -> list:
@@ -755,15 +797,15 @@ def lift_blocks(cfg: ExperimentConfig) -> list:
 
 def run_pvar(cfg: ExperimentConfig) -> list[ResultRecord]:
     """p-variation norm of each sampled lift (per-sample rows)."""
-    r = _grid_cov(cfg)
+    r, e = _grid_cov(cfg)
     levels = signature_at(sample_values(r, cfg.d, cfg.samples, cfg.seed), 3)
     (vals,) = reduce_pair_dists(levels, None, lambda t: pvar_batch(t, cfg.p))
-    return [_record(cfg, "pvar_norm", val, None, s) for s, val in enumerate(vals)]
+    return [_record(cfg, e, "pvar_norm", val, None, s) for s, val in enumerate(vals)]
 
 
 def run_rhovar(cfg: ExperimentConfig) -> list[ResultRecord]:
     """2D rho-variation of the kernel's grid covariance."""
-    r = _grid_cov(cfg)
+    r, e = _grid_cov(cfg)
     rho = cfg.effective_rho()
     val = rho_var_2d(r.entries, rho, cfg.search, seed=cfg.seed)
     # A zero sum is exact only when every grid cell, hence every rectangular
@@ -773,7 +815,7 @@ def run_rhovar(cfg: ExperimentConfig) -> list[ResultRecord]:
             f"rho-variation underflows at rho={rho:g}: every |rectangular increment|^rho"
             " rounds to 0 though the covariance has a nonzero one"
         )
-    return [_record(cfg, f"rho_var_2d_{cfg.search}", val, None, None)]
+    return [_record(cfg, e, f"rho_var_2d_{cfg.search}", val, None, None)]
 
 
 def _records(run):

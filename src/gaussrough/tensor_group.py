@@ -114,14 +114,21 @@ def _inv_levels(g: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def _level_abs(levels: Sequence[np.ndarray]) -> list[np.ndarray]:
-    # Euclidean norm of each graded piece, batch axes preserved.
+    # Euclidean norm of each graded piece, batch axes preserved.  Each piece
+    # is divided by the power of two of its largest coordinate before it is
+    # squared, and the norm multiplied back.  Both steps are exact, and the
+    # largest square then lies in [1/4, 1), so the sum neither overflows nor
+    # underflows to 0.
     out = []
     for k, lv in enumerate(levels):
+        lv = np.abs(np.asarray(lv))
         if k == 0:
-            out.append(np.abs(np.asarray(lv)))
+            out.append(lv)
         else:
             axes = tuple(range(lv.ndim - k, lv.ndim))
-            out.append(np.sqrt(np.sum(lv * lv, axis=axes)))
+            _, exp = np.frexp(np.max(lv, axis=axes, keepdims=True))
+            unit = np.ldexp(lv, -exp)
+            out.append(np.ldexp(np.sqrt(np.sum(unit * unit, axis=axes)), np.squeeze(exp, axes)))
     return out
 
 

@@ -355,7 +355,7 @@ def _convergence_by_count(cfg):
             if not holder and "holder" in name:
                 continue
             value, se = _q_mean(data, cfg.q)
-            records.append(_record(cfg, name, value, se, m))
+            records.append(_record(cfg, 0, name, value, se, m))  # unnormalised: e = 0
     return records
 
 
@@ -758,8 +758,8 @@ def test_martingale_check_z_scores_scale_free(tmp_path):
 @pytest.mark.parametrize("kernel", [{"kind": "brownian"}, {"kind": "fbm", "hurst": 0.4}])
 def test_martingale_check_one_component_higher_levels_zero(kernel):
     # With d = 1 the log lift has no degree 2 or 3: those coordinates are
-    # rounding, which the zero threshold (relative to sigma^k, sigma = 1
-    # here) must not score as signal.
+    # rounding, which the zero threshold (relative to max(1, scale) at unit
+    # scale) must not score as signal.
     cfg = load_config("martingale", {"kernel": kernel, "n": 16, "seed": 3, "d": 1, "samples": 40,
                                      "index_size": 4})
     stats = {r.statistic: r.value for r in run_martingale_checks(cfg)}
@@ -785,7 +785,10 @@ _SCALED_CONFIGS = [
 
 
 def _sqrt_scale_power(name, row):
-    """Power of sqrt(c) by which a value scales when the covariance does by c."""
+    """Power of sqrt(c) by which a value scales when the covariance does by c.
+
+    Kept apart from the package's own degree table, as an independent oracle.
+    """
     if name == "simulate":
         return 1
     if name == "lift":
@@ -798,32 +801,87 @@ def _sqrt_scale_power(name, row):
     return 1  # p-variation and Holder distances, translation error
 
 
+def _run_scaled(tmp_path, name, config, k):
+    """Exit code and output text of ``name`` on the fbm(H=0.35) table times 4^k."""
+    kernel = _fbm_table(tmp_path / "cov.csv", 4.0**k, 0.35)
+    code, out = run_cli(tmp_path, name, dict(config, kernel=kernel))
+    return code, out.read_text() if code == 0 else None
+
+
+def _assert_covariant(name, ref, got, k):
+    """Every value and stderr of ``got`` equals 2^(k * degree) times its
+    ``ref`` counterpart, and every other cell is equal."""
+    ref, got = (list(csv.DictReader(io.StringIO(text))) for text in (ref, got))
+    assert ref and len(got) == len(ref), k
+    for want, row in zip(ref, got):
+        factor = 2.0 ** (k * _sqrt_scale_power(name, want))
+        for col, value in want.items():
+            if col in ("value", "stderr") and value:
+                assert float(row[col]) == factor * float(value), (k, want, row[col])
+            else:
+                assert row[col] == value, (k, col)
+
+
 @pytest.mark.parametrize("name, extra", _SCALED_CONFIGS)
 def test_subcommands_covariant_under_table_scaling(tmp_path, name, extra):
-    # Multiplying the table by c = 4^k commutes with every flop except the
-    # k-th roots, so paths and distances scale by sqrt(c) = 2^k, degree-m
-    # lift coordinates by c^(m/2), rho-variations and mean squared norms by
-    # c, and z-scores and slopes not at all, all within rounding.
+    # Multiplying the table by c = 4^k scales paths and distances by
+    # sqrt(c) = 2^k, degree-m lift coordinates by c^(m/2), rho-variations and
+    # mean squared norms by c, and z-scores and slopes not at all.  The
+    # runners work on the table divided by the power of four that puts its
+    # largest value in [1, 4), the same table for every k, so the images are
+    # exact, far beyond where squares of the raw scale overflow.
     config = dict(extra, n=16, seed=3)
-    rows = {}
-    for k in (0, -24, -20, 20, 24):
-        kernel = _fbm_table(tmp_path / "cov.csv", 4.0**k, 0.35)
-        code, out = run_cli(tmp_path, name, dict(config, kernel=kernel))
+    code, ref = _run_scaled(tmp_path, name, config, 0)
+    assert code == 0
+    for k in (-250, -100, -24, -20, 20, 24, 100, 250):
+        code, got = _run_scaled(tmp_path, name, config, k)
         assert code == 0, k
-        with open(out) as fh:
-            rows[k] = list(csv.DictReader(fh))
-    ref = rows.pop(0)
-    assert ref
-    for k, got in rows.items():
-        assert len(got) == len(ref), k
-        for want, row in zip(ref, got):
-            factor = 2.0 ** (k * _sqrt_scale_power(name, want))
-            for col, value in want.items():
-                if col not in ("value", "stderr") or not value:
-                    assert row[col] == value, (k, col)
-                    continue
-                image = factor * float(value)
-                assert abs(float(row[col]) - image) <= 1e-12 * abs(image), (k, want, row[col])
+        _assert_covariant(name, ref, got, k)
+
+
+@pytest.mark.parametrize(
+    "name, extra, k",
+    [
+        ("martingale-check", {"d": 2, "samples": 20, "index_size": 3}, 498),
+        ("simulate", {"d": 2, "samples": 2}, 400),
+        ("lift", {"d": 2, "samples": 2, "depth": 3}, 400),
+    ],
+)
+def test_cli_extreme_table_scales(tmp_path, capsys, name, extra, k):
+    # The ends of the exit contract.  At 4^498 (about 1e300) every
+    # martingale-check record has degree 0, so its CSV equals the k = 0 one
+    # byte for byte.  At 4^400 simulate's paths are 2^400 times the k = 0
+    # paths, but lift's level 3, about 2^1200, cannot be represented.
+    config = dict(extra, n=8, seed=1)
+    code, ref = _run_scaled(tmp_path, name, config, 0)
+    assert code == 0
+    (tmp_path / "out.csv").unlink()
+    code, got = _run_scaled(tmp_path, name, config, k)
+    err = capsys.readouterr().err
+    if name == "lift":
+        assert code == 3 and not (tmp_path / "out.csv").exists()
+        assert len(err.splitlines()) == 1 and err.startswith("data error: lifted log coordinates")
+        return
+    assert code == 0 and err == ""
+    if name == "martingale-check":
+        assert got == ref
+    _assert_covariant(name, ref, got, k)
+
+
+def test_cli_twovar_bound_tiny_table_covariant(tmp_path):
+    # The valid table times 4^-283 (about 1.4e-170): squaring its cells
+    # underflows at that scale, but not at the unit scale the runners use,
+    # so both statistics are exactly 4^-283 times the unscaled ones.
+    raw = np.loadtxt(io.StringIO(_TABLES["valid"]), delimiter=",")
+    kernel = {"kind": "table", "path": str(tmp_path / "cov.csv")}
+    values = {}
+    for k in (0, -283):
+        np.savetxt(kernel["path"], np.vstack([raw[:1], 4.0**k * raw[1:]]), delimiter=",")
+        code, out = run_cli(tmp_path, "twovar-bound", dict(BROWNIAN, n=4, seed=1, sets=2, kernel=kernel))
+        assert code == 0
+        values[k] = [r.value for r in read_records(str(out))]
+    assert values[0][1] > 0.0
+    assert values[-283] == [4.0**-283 * v for v in values[0]]
 
 
 def test_cli_non_finite_statistic_exit_3(tmp_path, capsys):
@@ -839,16 +897,26 @@ def test_cli_non_finite_statistic_exit_3(tmp_path, capsys):
     [(None, 600, "fullgrid"), ("tiny", 30, "fullgrid"), ("tiny", 30, "hillclimb")],
 )
 def test_cli_rhovar_underflow_exit_3(tmp_path, capsys, table, rho, search):
-    # Every |cell|^rho underflows: Brownian motion at n=4 (rho-variation about
-    # 0.2506 at rho=600), or Brownian motion times 1e-14 at rho=30.
+    # Brownian motion at n=4 has rho-variation about 0.2506 at rho=600, but
+    # every |cell|^rho underflows: exit 3.  Brownian motion times 1e-14 at
+    # rho=30 underflows only at its own scale, not at the unit scale the
+    # runners use, so its value is 1e-14 times the unscaled table's.
     config = dict(BROWNIAN, n=4, rho=rho, search=search)
-    if table:
-        (tmp_path / "cov.csv").write_text(_TABLES[table])
-        config["kernel"] = {"kind": "table", "path": str(tmp_path / "cov.csv")}
-    code, out = run_cli(tmp_path, "rhovar", config)
-    assert code == 3 and not out.exists()
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("data error: rho-variation underflows")
+    if table is None:
+        code, out = run_cli(tmp_path, "rhovar", config)
+        assert code == 3 and not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("data error: rho-variation underflows")
+        return
+    values = {}
+    for name in ("valid", table):
+        (tmp_path / "cov.csv").write_text(_TABLES[name])
+        kernel = {"kind": "table", "path": str(tmp_path / "cov.csv")}
+        code, out = run_cli(tmp_path, "rhovar", dict(config, kernel=kernel))
+        assert code == 0
+        (values[name],) = [r.value for r in read_records(str(out))]
+    image = 1e-14 * values["valid"]
+    assert abs(values[table] - image) <= 1e-12 * image
 
 
 def test_cli_rhovar_zero_covariance_is_zero(tmp_path):

@@ -135,6 +135,21 @@ def test_hom_norm_of_level1_exp_is_euclidean():
     assert abs(hom_norm(g) - 5.0) <= TOL
 
 
+@pytest.mark.parametrize("j", [-300, -200, 200, 300])
+def test_hom_norm_homogeneous_at_extreme_dilations(j):
+    # Level 3 sets the norm, and after dilation by 2^j its coordinates have
+    # size about 2^(3j), whose squares are outside the float range.  The
+    # cube root x ** (1/3) uses fl(1/3) = 1/3 - 1.85e-17, which alone moves
+    # the norm of 2^(3j) x by a relative 3|j| ln(2) 1.85e-17: 1.2e-14 at
+    # |j| = 300.
+    b = bracket_iij_tensor(0, 1, 2)
+    g = exp(LieElement(2, 3, (b.levels[0], np.array([1e-3, -5e-4]), b.levels[2], 5.0 * b.levels[3])))
+    norm = hom_norm(g)
+    assert norm > 100.0 * np.linalg.norm(g.levels[1])
+    image = 2.0**j * norm
+    assert abs(hom_norm(dilate(2.0**j, g)) - image) <= 2e-14 * image
+
+
 def test_hom_norm_symmetric_under_inverse(rng):
     for _ in range(50):
         g = random_group(rng, 3)
