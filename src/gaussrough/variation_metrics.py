@@ -47,22 +47,27 @@ same q x q block of cells by the same pairwise reduction, so it equals
 ``_grid_sum`` bit for bit.  A candidate is accepted when it beats the current
 sum by a relative 1e-15, so the search is the same at any scale of R.
 
-Each search state screens all its toggles at once: a toggle changes only the
-cells in the row and column bands of its window, so its gain costs O(n) and
-all of them one vectorized gather from the table; two toggles with disjoint
-windows interact only through a 3 x 3 block of cells each way, and pairs whose
-windows overlap are not screened.  A candidate whose screened gain is below
-minus a margin far above the rounding error of either computation is rejected
-unseen; every other candidate is evaluated exactly and accepted on the exact
-sum, so the search takes the decisions, and returns the value, that exact
-evaluation of every candidate gives.
+Each search state screens all its toggles at once.  Toggling the interior
+nodes of a window, from the nearest member of the dissection below them to
+the nearest above, replaces only the dissection's intervals inside it, so
+the grid sum changes by that rewrite's bands against the dissection and its
+corner: O(n) per candidate, all of them in one vectorized pass over the table.
+A single toggle rewrites a window of three nodes; a pair of toggles with no
+member between them rewrites one joint window of four; two toggles with
+disjoint windows add their gains and interact only through a 3 x 3 block of
+cells each way.  The pair phase visits only the pairs left by the screen, in
+row-major order.  A candidate whose screened gain is below minus a margin far
+above the rounding error of either computation is rejected unseen; every
+other candidate is evaluated exactly and accepted on the exact sum, so the
+search takes the decisions, and returns the value, that exact evaluation of
+every candidate gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -220,13 +225,28 @@ def pair_dist_table(x: Sequence[np.ndarray], y: Sequence[np.ndarray] | None = No
 
 def pvar_batch(table: np.ndarray, p: float) -> np.ndarray:
     """p-variation from node-pair distance tables with any leading batch axes:
-    the max over dissections of sum d^p, to the power 1/p, by exact DP."""
+    the max over dissections of sum d^p, to the power 1/p, by exact DP.
+
+    Where the result is 0, every d^p may have underflowed: the DP is redone
+    on the table divided by 2^e, which puts its largest distance in [1, 2),
+    and the root is multiplied back by 2^e.  A table of zeros gives 0 again,
+    and every other entry keeps its bits.
+    """
+    root = _pvar_dp(table, p)
+    zero = root == 0.0
+    if np.any(zero):
+        e = np.frexp(np.max(table[zero], axis=(-2, -1)))[1] - 1
+        root[zero] = np.ldexp(_pvar_dp(np.ldexp(table[zero], -e[:, None, None]), p), e)
+    return root
+
+
+def _pvar_dp(table: np.ndarray, p: float) -> np.ndarray:
     cost = table**p
     # best[..., j] = max over dissections of nodes 0..j.
     best = np.zeros(cost.shape[:-1])
     for j in range(1, cost.shape[-1]):
         best[..., j] = np.max(best[..., :j] + cost[..., :j, j], axis=-1)
-    return best[..., -1] ** (1.0 / p)
+    return np.asarray(best[..., -1] ** (1.0 / p))
 
 
 def holder_batch(table: np.ndarray, times: np.ndarray, alpha: float) -> np.ndarray:
@@ -350,12 +370,25 @@ def rho_var_2d(
     return best ** (1.0 / rho)
 
 
-# Intervals [a,k], [k,b], [a,b] of a node triple (a, k, b), and the weights
-# that replace a whole interval by its two halves.
-_STARTS, _ENDS = np.array([0, 1, 0]), np.array([1, 2, 2])
-_HALVES = np.array([1.0, 1.0, -1.0])
-# The corner of one toggle: four quarter cells against the whole cell.
-_CORNER = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+def _spans(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and end positions of every interval between two nodes of a
+    window of ``size`` nodes, and for each membership pattern of the window's
+    interior nodes the weights over those intervals, new minus old partition,
+    of toggling all of them: a partition holds the intervals between
+    consecutive member nodes, the window's ends included."""
+    spans = list(combinations(range(size), 2))
+    parts = np.zeros((2,) * (size - 2) + (len(spans),))
+    for bits in product((0, 1), repeat=size - 2):
+        cuts = [0] + [k for k, bit in enumerate(bits, start=1) if bit] + [size - 1]
+        for span in zip(cuts, cuts[1:]):
+            parts[bits + (spans.index(span),)] = 1.0
+    starts, ends = np.array(spans).T
+    return starts, ends, np.flip(parts, axis=tuple(range(size - 2))) - parts
+
+
+# A window (a, k, b) of one toggle, and (a, i, j, b) of two toggles whose
+# windows overlap.
+_TRIPLE, _QUAD = _spans(3), _spans(4)
 
 
 class _CellTable:
@@ -429,47 +462,66 @@ def _window(member: np.ndarray) -> np.ndarray:
     return np.stack((below[:-2], place[1:-1], above[2:]), axis=-1)
 
 
-def _toggle_gains(table: _CellTable, member: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Estimated change of the grid sum when one interior node k is toggled,
-    at entry k-1; ``u`` is ``_window(member)``.
+def _rewrite_gains(
+    table: _CellTable, member: np.ndarray, window: np.ndarray, spans: tuple
+) -> np.ndarray:
+    """Change of the grid sum when the interior nodes of each row of
+    ``window`` are toggled together; ``spans`` is ``_spans`` of its width.
 
-    Rows and columns of the table are summed alike, so R need not be
-    symmetric.  With a < k < b the nearest members of D without k, only the
-    cells whose row or column interval lies inside [a, b] change: the bands
-    [a,k] + [k,b] - [a,b] against every other interval of D, and the corner.
-    An insertion gains that sum, a deletion loses it.
+    A window's ends are the nearest members of D around its interior nodes,
+    so the toggles replace D's intervals inside the window by the new
+    partition: D gains f = new - old as a vector over intervals.  The grid
+    sum is D^T T D for the cell table T, so it changes by f^T (T + T^T) D,
+    the band of f against every interval of D, plus the corner f^T T f.
+    Rows and columns are summed alike, so R need not be symmetric.
     """
+    starts, ends, flip = spans
     pos = np.flatnonzero(member)
     ip = table.cells(pos[:-1], pos[1:])
-    w = table.cells(u[:, _STARTS], u[:, _ENDS])
-    t = table.values
-    outside = (pos[:-1] < u[:, :1]) | (pos[1:] > u[:, 2:])
-    band = _HALVES @ (t[w[..., None], ip] + t[ip, w[..., None]])
-    corner = np.sum(t[w[..., None], w[:, None]] * _CORNER, axis=(-2, -1))
-    gain = np.sum(outside * band, axis=-1) + corner
-    return np.where(member[1:-1], -gain, gain)
+    w = table.cells(window[:, starts], window[:, ends])
+    t, slots = table.values, table.starts.size
+    f = flip[tuple(member[window[:, 1:-1]].T.astype(np.intp))]
+    # Every slotted interval's cells against D, rows and columns: dense
+    # slices of the table cost less than gathering only the window's.
+    band = (np.sum(t[:slots, ip], axis=1) + np.sum(t[ip, :slots], axis=0))[w]
+    corner = np.einsum("mk,mkl,ml->m", f, t[w[..., None], w[:, None]], f)
+    return np.einsum("mk,mk->m", f, band) + corner
+
+
+def _toggle_gains(table: _CellTable, member: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Change of the grid sum when one interior node k is toggled, at entry
+    k-1; ``u`` is ``_window(member)``.  An insertion splits the interval
+    [a, b] at k, a deletion merges [a, k] and [k, b]."""
+    return _rewrite_gains(table, member, u, _TRIPLE)
 
 
 def _pair_gains(
     table: _CellTable, member: np.ndarray, u: np.ndarray, gain: np.ndarray
 ) -> np.ndarray:
-    """Estimated change of the grid sum when the interior nodes i < j are both
-    toggled, at entry (i-1, j-1); ``u`` is ``_window(member)`` and ``gain``
-    is ``_toggle_gains`` of the state.
+    """Change of the grid sum when the interior nodes i < j are both toggled,
+    for every pair in ``np.triu_indices`` order; ``u`` is ``_window(member)``
+    and ``gain`` is ``_toggle_gains`` of the state.
 
-    Toggles with disjoint windows interact only through the cells between one's
-    triple and the other's, so their pair gain is the two gains and that
-    interaction.  Pairs whose windows overlap get +inf: they are not screened.
+    The windows of i and j overlap exactly when no member of D lies strictly
+    between them.  Then the pair rewrites one joint window (a, i, j, b), from
+    the nearest member below i to the nearest above j.  With disjoint windows
+    D gains f_i + f_j, so the pair gain is the two gains and the cross terms
+    f_i^T T f_j + f_j^T T f_i of the corner.
     """
-    w = table.cells(u[:, _STARTS], u[:, _ENDS])
-    t = table.values
-    sign = np.where(member[1:-1], -1.0, 1.0)
     i, j = np.triu_indices(u.shape[0], 1)
-    cross = (t[w[i, :, None], w[j, None]] + t[w[j, None], w[i, :, None]]) @ _HALVES @ _HALVES
-    pair = np.empty((u.shape[0], u.shape[0]))
-    pair[i, j] = gain[i] + gain[j] + sign[i] * sign[j] * cross
     overlap = u[i, 2] > u[j, 0]
-    pair[i[overlap], j[overlap]] = np.inf
+    oi, oj = i[overlap], j[overlap]
+    joint = _rewrite_gains(
+        table, member, np.stack((u[oi, 0], oi + 1, oj + 1, u[oj, 2]), axis=-1), _QUAD
+    )
+    starts, ends, flip = _TRIPLE
+    w = table.cells(u[:, starts], u[:, ends]).ravel()
+    # cross[i, j] = f_i^T T f_j, with f_i in rows 3i..3i+2 of column i of f.
+    f = np.zeros((w.size, u.shape[0]))
+    f[np.arange(w.size), np.arange(w.size) // 3] = flip[member[1:-1].astype(np.intp)].ravel()
+    cross = f.T @ table.values[w[:, None], w] @ f
+    pair = gain[i] + gain[j] + cross[i, j] + cross[j, i]
+    pair[overlap] = joint
     return pair
 
 
@@ -477,6 +529,8 @@ def _hillclimb(r: np.ndarray, rho: float, seed: int) -> float:
     n_seg = r.shape[0] - 1
     interior = range(1, n_seg)
     table = _CellTable(r, rho)
+    # Interior node pairs in ``_pair_gains`` order.
+    pairs = np.transpose(np.triu_indices(n_seg - 1, 1)) + 1
     # No cell exceeds (4 max|R|)^rho, so rounding moves an exact grid sum or a
     # screened gain by less than about rho * n_seg^2 * eps times that bound.
     # An infinite or NaN margin skips nothing.
@@ -510,23 +564,26 @@ def _hillclimb(r: np.ndarray, rho: float, seed: int) -> float:
                     member[k] = ~member[k]
             if improved:
                 continue
+            # The pairs left by the screen, in row-major order; after an
+            # acceptance, those after it in the new state's screen.
             pair = _pair_gains(table, member, u, gain)
-            for ka in interior:
-                for kb in range(ka + 1, n_seg):
-                    if pair[ka - 1, kb - 1] < -margin:
-                        continue
+            todo = np.flatnonzero(~(pair < -margin))
+            while todo.size:
+                at, todo = todo[0], todo[1:]
+                ka, kb = pairs[at]
+                member[ka] = ~member[ka]
+                member[kb] = ~member[kb]
+                candidate = table.grid_sum(np.flatnonzero(member))
+                if candidate > current * (1 + 1e-15):
+                    current = candidate
+                    improved = True
+                    u = _window(member)
+                    gain = _toggle_gains(table, member, u)
+                    pair = _pair_gains(table, member, u, gain)
+                    todo = at + 1 + np.flatnonzero(~(pair[at + 1 :] < -margin))
+                else:
                     member[ka] = ~member[ka]
                     member[kb] = ~member[kb]
-                    candidate = table.grid_sum(np.flatnonzero(member))
-                    if candidate > current * (1 + 1e-15):
-                        current = candidate
-                        improved = True
-                        u = _window(member)
-                        gain = _toggle_gains(table, member, u)
-                        pair = _pair_gains(table, member, u, gain)
-                    else:
-                        member[ka] = ~member[ka]
-                        member[kb] = ~member[kb]
         return current
 
     # The restart masks are drawn before any climb (a climb draws nothing),
@@ -538,10 +595,11 @@ def _hillclimb(r: np.ndarray, rho: float, seed: int) -> float:
             member[1:n_seg] = rng.random(n_seg - 1) < 0.5
     a: list[np.ndarray] = []
     b: list[np.ndarray] = []
+    spans_a, spans_b, _ = _TRIPLE
     for member in starts:
         pos, u = np.flatnonzero(member), _window(member)
-        a += [pos[:-1], u[:, _STARTS].ravel()]
-        b += [pos[1:], u[:, _ENDS].ravel()]
+        a += [pos[:-1], u[:, spans_a].ravel()]
+        b += [pos[1:], u[:, spans_b].ravel()]
     table.cells(np.concatenate(a), np.concatenate(b))
     # The first climb starts from the full grid and never returns less than
     # its exact sum, so no search value is below ``fullgrid``'s.

@@ -892,6 +892,33 @@ def test_cli_non_finite_statistic_exit_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("data error: pvar_norm is not finite")
 
 
+def test_cli_pvar_tiny_distances_do_not_underflow(tmp_path):
+    # Only the table maximum sets the unit scale, so the grid variances 0 and
+    # 1e-300 stay tiny: each distance (about 1e-155 at unit scale) cubed
+    # underflows.  On one segment the norm is the increment's level-1 size,
+    # |X_1 - X_0| = |X_1|, which simulate writes at t = 1.
+    table = tmp_path / "cov.csv"
+    table.write_text("0,0.5,1\n0,0,0\n0,1e10,0\n0,0,1e-300\n")
+    config = {"kernel": {"kind": "table", "path": str(table)}, "n": 1, "seed": 4}
+    config.update(d=1, samples=2)
+    env = dict(os.environ, PYTHONPATH=str(Path(gaussrough.__file__).parents[1]))
+    outputs = {}
+    for name, extra in (("pvar", {"p": 3.0}), ("simulate", {})):
+        cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        cfg.write_text(json.dumps(dict(config, **extra)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussrough.cli", name, "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        outputs[name] = list(csv.DictReader(io.StringIO(out.read_text())))
+    ends = [abs(float(row["value"])) for row in outputs["simulate"] if float(row["time"]) == 1.0]
+    norms = [float(row["value"]) for row in outputs["pvar"]]
+    assert len(norms) == len(ends) == 2 and min(ends) > 0.0
+    for norm, end in zip(norms, ends):
+        assert abs(norm - end) <= 1e-12 * end
+
+
 @pytest.mark.parametrize(
     "table, rho, search",
     [(None, 600, "fullgrid"), ("tiny", 30, "fullgrid"), ("tiny", 30, "hillclimb")],

@@ -352,7 +352,7 @@ def test_hillclimb_scale_free():
 
 
 def test_screened_gains_match_exact_differences(rng):
-    screened = 0
+    overlapping = 0
     for r, rho, lo, hi in random_rho_cases(rng, 60, 16):
         sub = r[lo : hi + 1, lo : hi + 1]
         table = vm._CellTable(sub, rho)
@@ -362,7 +362,8 @@ def test_screened_gains_match_exact_differences(rng):
         before = vm._grid_sum(sub, np.flatnonzero(member), rho)
         u = vm._window(member)
         gain = vm._toggle_gains(table, member, u)
-        pair = vm._pair_gains(table, member, u, gain)
+        # One entry per pair i < j, in row-major order.
+        pair = iter(vm._pair_gains(table, member, u, gain))
         tol = 1e-12 * before
         for k in range(1, n_seg):
             after = member.copy()
@@ -373,11 +374,28 @@ def test_screened_gains_match_exact_differences(rng):
                 both = after.copy()
                 both[kb] = ~both[kb]
                 exact = vm._grid_sum(sub, np.flatnonzero(both), rho) - before
-                # Pairs with overlapping windows are left unscreened (+inf).
-                if pair[k - 1, kb - 1] != np.inf:
-                    assert abs(pair[k - 1, kb - 1] - exact) <= tol
-                    screened += 1
-    assert screened > 200
+                assert abs(next(pair) - exact) <= tol
+                # The windows overlap: no member lies strictly between.
+                overlapping += not member[k + 1 : kb].any()
+    assert overlapping > 100
+
+
+def test_hillclimb_pair_phase_sums_only_screened_candidates(monkeypatch):
+    # fbm H=0.3 at n=28 and rho=1/0.6 (the rhovar benchmark's shape): every
+    # overlapping-window pair used to be summed exactly, 393-453 sums per
+    # search; screening them leaves 154-163.
+    sums = []
+
+    class Counted(vm._CellTable):
+        def grid_sum(self, idx):
+            sums[-1] += 1
+            return super().grid_sum(idx)
+
+    monkeypatch.setattr(vm, "_CellTable", Counted)
+    for seed in range(5):
+        sums.append(0)
+        rho_var_2d(fbm_cov(28, 0.3), 1 / 0.6, mode="hillclimb", seed=seed)
+    assert 0 < max(sums) < 250
 
 
 def test_hillclimb_exact_tie_brownian():
