@@ -5,8 +5,8 @@ seed (--seed), and writes to --out; an output path ending in .json selects
 JSON, anything else CSV.  The subcommands themselves are declared in
 ``experiments.SUBCOMMANDS``.  Exit codes: 0 success, 2 configuration error
 (including an --out that names a directory or lies in a missing one, found
-before any work, and a failed write to --out), 3 numerical/data error
-(including running out of memory).
+before any work, and a failed write to --out, which leaves no file), 3
+numerical/data error (including running out of memory).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}") from err
 
-        experiment, produce, columns, _, _ = SUBCOMMANDS[args.command]
-        cfg = load_config(experiment, data, args.seed)
+        entry = SUBCOMMANDS[args.command]
+        cfg = load_config(entry.experiment, data, args.seed)
         if os.path.isdir(args.out):
             raise ConfigError(f"--out {args.out!r} is a directory")
         if not os.path.isdir(os.path.dirname(args.out) or "."):
@@ -60,9 +60,9 @@ def main(argv: list[str] | None = None) -> int:
         # Non-finite results become data errors (exit 3) where they are
         # produced, so numpy's floating-point warnings would only add lines.
         with np.errstate(all="ignore"):
-            blocks = produce(cfg)
+            blocks = entry.produce(cfg)
         try:
-            emit(blocks, fmt, args.out, columns)
+            emit(blocks, fmt, args.out, entry.columns)
         except OSError as err:
             raise ConfigError(f"cannot write --out {args.out!r}: {err}") from err
     except ConfigError as err:

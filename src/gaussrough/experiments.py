@@ -3,11 +3,13 @@
 Each runner consumes a validated ExperimentConfig and returns ResultRecords;
 ``simulate_blocks`` and ``lift_blocks`` turn sampled paths into blocks of
 long-format rows that share their labels, and ``emit`` writes any blocks
-under their columns (a record list is one block).  ``SUBCOMMANDS`` declares
-each command-line subcommand once: its experiment tag, producer of blocks,
-columns, config keys and sample minimum.  All randomness flows through the
-config seed (per-draw substreams, see gaussian_process), so a given config
-produces byte-identical output files.
+under their columns (a record list is one block).  Each config key is
+declared once, as an ``ExperimentConfig`` field that carries its parser and
+range, and ``SUBCOMMANDS`` declares each command-line subcommand once: its
+experiment tag, producer of blocks, accepted and required config keys,
+sample minimum, whether it lifts paths, and columns.  All randomness flows
+through the config seed (per-draw substreams, see gaussian_process), so a
+given config produces byte-identical output files.
 
 Scale: every runner works on the grid covariance divided by 4^e, with e
 chosen by ``_grid_cov`` (0 for Brownian motion and fbm), and multiplies each
@@ -33,9 +35,11 @@ import csv
 import io
 import json
 import math
+import os
+import sys
 import warnings
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -95,39 +99,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (bad keys, values, or regime)."""
 
 
-_LIFTING = {"convergence", "uniform-modulus", "martingale", "pvar", "lift"}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    kernel: CovKernel
-    n: int
-    seed: int
-    d: int = 1
-    p: float | None = None
-    q: float | None = None
-    alpha: float | None = None
-    samples: int = 0
-    m: tuple[int, ...] = ()
-    mode: str = "kl"
-    index_policy: str = "prefix"
-    sets: int = 50
-    lengths: tuple[int, ...] = ()
-    index_size: int = 0
-    pairs: tuple[tuple[int, int], ...] = ()
-    depth: int = 3
-    rho: float | None = None
-    search: str = "fullgrid"
-
-    def effective_rho(self) -> float:
-        if self.rho is not None:
-            return self.rho
-        if self.kernel.kind == "fbm":
-            return max(1.0, 1.0 / (2.0 * self.kernel.hurst))
-        return 1.0
-
-
 # Value parsers: parse(key, value) returns the field value or raises ConfigError.
 
 
@@ -135,20 +106,32 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _bound(lo, hi) -> str:
+    return "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+
+
 def _int(lo: int, hi: int | None = None):
     def parse(key, v):
         if not _is_int(v) or v < lo or (hi is not None and v > hi):
-            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise ConfigError(f"{key!r} must be an integer {bound}")
+            raise ConfigError(f"{key!r} must be an integer{_bound(lo, hi)}")
         return v
 
     return parse
 
 
-def _number(key, v) -> float:
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-        raise ConfigError(f"{key!r} must be a finite number")
-    return float(v)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(lo: float | None = None, hi: float | None = None):
+    def parse(key, v) -> float:
+        # An int compares with a float exactly, so a JSON integer too large
+        # for a float fails here rather than overflowing in float(v).
+        finite = isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
+        if not finite or (lo is not None and v < lo) or (hi is not None and v > hi):
+            raise ConfigError(f"{key!r} must be a finite number{_bound(lo, hi)}")
+        return float(v)
+
+    return parse
 
 
 def _choice(*options: str):
@@ -166,10 +149,13 @@ def _text(key, v) -> str:
     return v
 
 
-def _positive_ints(key, v) -> tuple[int, ...]:
-    if not isinstance(v, list) or not all(_is_int(e) and e >= 1 for e in v):
-        raise ConfigError(f"{key!r} must be a list of positive integers")
-    return tuple(v)
+def _positive_ints(min_len: int = 0):
+    def parse(key, v) -> tuple[int, ...]:
+        if not isinstance(v, list) or len(v) < min_len or not all(_is_int(e) and e >= 1 for e in v):
+            raise ConfigError(f"{key!r} must be a list of {min_len} or more positive integers")
+        return tuple(v)
+
+    return parse
 
 
 def _node_pairs(key, v) -> tuple[tuple[int, int], ...]:
@@ -198,7 +184,7 @@ def _table_kernel(path: str) -> CovKernel:
 # Kernel kind -> (constructor, its parameters in call order with their parsers).
 _KERNELS = {
     "brownian": (CovKernel.brownian, {}),
-    "fbm": (CovKernel.fbm, {"hurst": _number}),
+    "fbm": (CovKernel.fbm, {"hurst": _number()}),
     "table": (_table_kernel, {"path": _text}),
 }
 
@@ -219,98 +205,95 @@ def _kernel(key, v) -> CovKernel:
         raise ConfigError(f"bad kernel: {err}") from err
 
 
-# Config key -> parser.  "kernel", "n" and "seed" are required; every other
-# key defaults to its ExperimentConfig field.
-_SCHEMA = {
-    "kernel": _kernel,
-    "n": _int(1),
-    "seed": _int(0),
-    "d": _int(1),
-    "samples": _int(0),
-    "p": _number,
-    "q": _number,
-    "alpha": _number,
-    "rho": _number,
-    "m": _positive_ints,
-    "mode": _choice("kl", "dyadic"),
-    "index_policy": _choice("prefix", "random"),
-    "sets": _int(1),
-    "lengths": _positive_ints,
-    "index_size": _int(1),
-    "pairs": _node_pairs,
-    "depth": _int(1, 3),
-    "search": _choice("fullgrid", "hillclimb", "brute"),
-}
+def _key(parse, default=MISSING, in_grid: bool = False):
+    """A field read from the config key of its name by ``parse``; with
+    ``in_grid`` no integer in its value may exceed the segment count n."""
+    return field(default=default, metadata={"parse": parse, "in_grid": in_grid})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A validated config.  Every field but ``experiment`` is the config key of
+    its name, with its parser and range in the field metadata; the keys with
+    no default ("kernel", "n" and "seed") are required by every subcommand."""
+
+    experiment: str
+    kernel: CovKernel = _key(_kernel)
+    n: int = _key(_int(1))
+    seed: int = _key(_int(0))
+    d: int = _key(_int(1), 1)
+    p: float | None = _key(_number(1), None)
+    q: float | None = _key(_number(1), None)
+    alpha: float | None = _key(_number(0, 1), None)
+    samples: int = _key(_int(0), 0)
+    m: tuple[int, ...] = _key(_positive_ints(1), (), in_grid=True)
+    mode: str = _key(_choice("kl", "dyadic"), "kl")
+    index_policy: str = _key(_choice("prefix", "random"), "prefix")
+    sets: int = _key(_int(1), 50)
+    lengths: tuple[int, ...] = _key(_positive_ints(), (), in_grid=True)
+    index_size: int = _key(_int(1), 0, in_grid=True)
+    pairs: tuple[tuple[int, int], ...] = _key(_node_pairs, (), in_grid=True)
+    depth: int = _key(_int(1, 3), 3)
+    rho: float | None = _key(_number(1), None)
+    search: str = _key(_choice("fullgrid", "hillclimb", "brute"), "fullgrid")
+
+    def effective_rho(self) -> float:
+        if self.rho is not None:
+            return self.rho
+        if self.kernel.kind == "fbm":
+            return max(1.0, 1.0 / (2.0 * self.kernel.hurst))
+        return 1.0
 
 
 def load_config(experiment: str, data: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Build and validate a config for one experiment (a ``SUBCOMMANDS``
     tag) from parsed JSON."""
-    entry = next((e for e in SUBCOMMANDS.values() if e[0] == experiment), None)
+    entry = next((e for e in SUBCOMMANDS.values() if e.experiment == experiment), None)
     if entry is None:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    *_, keys, min_samples = entry
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = [k for k in data if k not in ("kernel", "n", "seed", *keys)]
+    key_fields = [f for f in fields(ExperimentConfig) if "parse" in f.metadata]
+    universal = [f.name for f in key_fields if f.default is MISSING]
+    unknown = [k for k in data if k not in (*universal, *entry.keys)]
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
     if seed_override is not None:
         data = dict(data, seed=seed_override)
-    for key in ("kernel", "n", "seed"):
+    for key in (*universal, *entry.required):
         if key not in data:
             raise ConfigError(f"missing required key {key!r}")
-    kw = {key: parse(key, data[key]) for key, parse in _SCHEMA.items() if key in data}
+    kw = {f.name: f.metadata["parse"](f.name, data[f.name]) for f in key_fields if f.name in data}
     if experiment == "martingale":
         kw.setdefault("index_size", min(4, kw["n"]))
     cfg = ExperimentConfig(experiment=experiment, **kw)
-    _validate_regime(cfg, min_samples)
+    _validate_regime(cfg, entry)
     return cfg
 
 
-def _validate_regime(cfg: ExperimentConfig, min_samples: int) -> None:
-    k = cfg.kernel
-    if cfg.experiment in _LIFTING and k.kind == "fbm" and k.hurst <= 0.25:
+def _validate_regime(cfg: ExperimentConfig, entry: Subcommand) -> None:
+    """The rules that relate two values; a key's own range is its parser's.
+
+    A key that only one subcommand accepts keeps its default elsewhere, so
+    its rules need no test of the experiment.
+    """
+    if entry.lifts and cfg.kernel.kind == "fbm" and cfg.kernel.hurst <= 0.25:
         raise ConfigError("lifting experiments require hurst > 1/4")
-    if cfg.p is not None:
-        if cfg.p < 1.0:
-            raise ConfigError("p must be >= 1")
-        rho = cfg.effective_rho()
-        if cfg.p <= 2.0 * rho:
-            raise ConfigError(f"p must exceed 2*rho = {2.0 * rho:g}")
-    if cfg.q is not None and cfg.q < 1.0:
-        raise ConfigError("q must be >= 1")
-    if cfg.alpha is not None and not 0.0 <= cfg.alpha <= 1.0:
-        raise ConfigError("alpha must lie in [0, 1]")
-    if any(v > cfg.n for v in cfg.lengths):
-        raise ConfigError("'lengths' must be node counts within the grid")
-    if any(t > cfg.n for _, t in cfg.pairs):
-        raise ConfigError("'pairs' must be [s, t] node pairs within the grid")
-    if cfg.experiment == "convergence":
-        if cfg.p is None or cfg.q is None:
-            raise ConfigError("convergence requires p and q")
-        if not cfg.m:
-            raise ConfigError("convergence requires the 'm' list")
-    if cfg.experiment == "pvar" and cfg.p is None:
-        raise ConfigError("pvar requires p")
-    if cfg.samples < min_samples:
-        raise ConfigError(f"{cfg.experiment} requires samples >= {min_samples}")
-    if cfg.experiment == "convergence":
-        if cfg.mode == "dyadic":
-            sizes = (cfg.n,) + tuple(cfg.m)
-            if any(v & (v - 1) for v in sizes):
-                raise ConfigError("dyadic mode requires power-of-two grid sizes")
-            if any(2 * v > cfg.n for v in cfg.m):
-                raise ConfigError("dyadic mode requires 2*m <= n for every m")
-        elif any(v > cfg.n for v in cfg.m):
-            raise ConfigError("kept-mode counts cannot exceed the grid rank")
-    if cfg.experiment == "martingale" and cfg.index_size > cfg.n:
-        raise ConfigError("index_size cannot exceed the grid rank")
-    if cfg.experiment == "rhovar":
-        if cfg.rho is not None and cfg.rho < 1.0:
-            raise ConfigError("rho must be >= 1")
-        if cfg.search == "brute" and cfg.n > BRUTE_MAX_2D:
-            raise ConfigError(f"search 'brute' is limited to n <= {BRUTE_MAX_2D}")
+    two_rho = 2.0 * cfg.effective_rho()
+    if cfg.p is not None and cfg.p <= two_rho:
+        raise ConfigError(f"p must exceed 2*rho = {two_rho:g}")
+    for f in fields(cfg):
+        if f.metadata.get("in_grid") and max(np.ravel(getattr(cfg, f.name)), default=0) > cfg.n:
+            raise ConfigError(f"{f.name!r} cannot exceed the segment count n = {cfg.n}")
+    if cfg.samples < entry.min_samples:
+        raise ConfigError(f"{cfg.experiment} requires samples >= {entry.min_samples}")
+    if cfg.mode == "dyadic":
+        if any(v & (v - 1) for v in (cfg.n, *cfg.m)):
+            raise ConfigError("dyadic mode requires power-of-two grid sizes")
+        if any(2 * v > cfg.n for v in cfg.m):
+            raise ConfigError("dyadic mode requires 2*m <= n for every m")
+    if cfg.search == "brute" and cfg.n > BRUTE_MAX_2D:
+        raise ConfigError(f"search 'brute' is limited to n <= {BRUTE_MAX_2D}")
 
 
 class ResultRecord(NamedTuple):
@@ -394,25 +377,29 @@ def emit(blocks, fmt: str, path: str, columns: tuple[str, ...] = CSV_COLUMNS) ->
         buf.write("\n")
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
-
-
-# Record column -> type of its cells; an empty cell reads as None.
-_CELL_TYPES = {
-    "experiment": str, "kernel": str, "hurst": float, "n": int, "m": int, "p": float,
-    "q": float, "samples": int, "statistic": str, "value": float, "stderr": float, "seed": int,
-}
+    fh = open(path, "w")
+    try:
+        with fh:
+            fh.write(buf.getvalue())
+    except OSError:
+        # A write that fails part way leaves no partial file; a device such
+        # as /dev/full, or a file that could not be opened, stays.
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 def read_records(path: str) -> list[ResultRecord]:
-    """Read back a CSV produced by ``emit``."""
+    """Read back a CSV produced by ``emit``.  A cell has the type of its
+    ``ResultRecord`` field; an empty cell reads as None."""
+    # Each field is annotated X or X | None, so X is the first type listed.
+    kinds = {c: (get_args(hint) or (hint,))[0] for c, hint in get_type_hints(ResultRecord).items()}
     with open(path) as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise DataError("unexpected CSV columns")
         return [
-            ResultRecord(**{c: kind(row[c]) if row[c] else None for c, kind in _CELL_TYPES.items()})
+            ResultRecord(**{c: kind(row[c]) if row[c] else None for c, kind in kinds.items()})
             for row in reader
         ]
 
@@ -827,26 +814,43 @@ def _records(run):
     return blocks
 
 
-# Subcommand -> (experiment tag written to the output, config -> emit blocks,
-# output columns, config keys accepted beyond "kernel", "n" and "seed", fewest
-# samples; a standard error needs two draws).
+class Subcommand(NamedTuple):
+    """One command-line subcommand."""
+
+    experiment: str  # the tag written to the output
+    produce: Callable[[ExperimentConfig], list]  # config -> ``emit`` blocks
+    keys: tuple[str, ...]  # config keys accepted beyond "kernel", "n" and "seed"
+    required: tuple[str, ...] = ()  # those of ``keys`` that must be given
+    min_samples: int = 0  # fewest samples; a standard error needs two draws
+    lifts: bool = False  # lifts sampled paths, so fbm needs hurst > 1/4
+    columns: tuple[str, ...] = CSV_COLUMNS
+
+
 SUBCOMMANDS = {
-    "simulate": ("simulate", simulate_blocks, PATH_COLUMNS, ("d", "samples"), 0),
-    "lift": ("lift", lift_blocks, LIFT_COLUMNS, ("d", "samples", "depth"), 0),
-    "kl-converge": (
-        "convergence", _records(run_convergence), CSV_COLUMNS,
-        ("d", "samples", "p", "q", "alpha", "rho", "m", "mode", "index_policy"), 2,
+    "simulate": Subcommand("simulate", simulate_blocks, ("d", "samples"), columns=PATH_COLUMNS),
+    "lift": Subcommand(
+        "lift", lift_blocks, ("d", "samples", "depth"), lifts=True, columns=LIFT_COLUMNS
     ),
-    "uniform-modulus": (
-        "uniform-modulus", _records(run_uniform_modulus), CSV_COLUMNS,
-        ("d", "samples", "sets", "lengths"), 2,
+    "kl-converge": Subcommand(
+        "convergence", _records(run_convergence),
+        ("d", "samples", "p", "q", "alpha", "rho", "m", "mode", "index_policy"),
+        required=("p", "q", "m"), min_samples=2, lifts=True,
     ),
-    "martingale-check": (
-        "martingale", _records(run_martingale_checks), CSV_COLUMNS,
-        ("d", "samples", "index_size", "pairs"), 2,
+    "uniform-modulus": Subcommand(
+        "uniform-modulus", _records(run_uniform_modulus), ("d", "samples", "sets", "lengths"),
+        min_samples=2, lifts=True,
     ),
-    "twovar-bound": ("twovar-bound", _records(run_2var_bound), CSV_COLUMNS, ("sets",), 0),
-    "translate-check": ("translation", _records(run_translation_check), CSV_COLUMNS, ("samples",), 1),
-    "pvar": ("pvar", _records(run_pvar), CSV_COLUMNS, ("d", "samples", "p", "rho"), 1),
-    "rhovar": ("rhovar", _records(run_rhovar), CSV_COLUMNS, ("rho", "search"), 0),
+    "martingale-check": Subcommand(
+        "martingale", _records(run_martingale_checks), ("d", "samples", "index_size", "pairs"),
+        min_samples=2, lifts=True,
+    ),
+    "twovar-bound": Subcommand("twovar-bound", _records(run_2var_bound), ("sets",)),
+    "translate-check": Subcommand(
+        "translation", _records(run_translation_check), ("samples",), min_samples=1
+    ),
+    "pvar": Subcommand(
+        "pvar", _records(run_pvar), ("d", "samples", "p", "rho"),
+        required=("p",), min_samples=1, lifts=True,
+    ),
+    "rhovar": Subcommand("rhovar", _records(run_rhovar), ("rho", "search")),
 }

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import gaussrough
 import gaussrough.variation_metrics as vm
 from gaussrough import (
     ConfigError,
+    ExperimentConfig,
     ResultRecord,
     emit,
     load_config,
@@ -37,11 +39,15 @@ from gaussrough import (
     uniform_grid,
 )
 from gaussrough.cli import main
-from gaussrough.experiments import SUBCOMMANDS, _SCHEMA, _child_seed, _mode_sets, _q_mean, _record
+from gaussrough.experiments import SUBCOMMANDS, _child_seed, _mode_sets, _q_mean, _record
 from gaussrough.gaussian_process import cov_matrix, sample_values
 from gaussrough.karhunen_loeve import kl_decompose
 from gaussrough.path_lift import signature_at
 from gaussrough.variation_metrics import holder_batch, pvar_batch, reduce_pair_dists
+
+
+# Every config key: the ExperimentConfig fields that carry a parser.
+CONFIG_KEYS = [f.name for f in fields(ExperimentConfig) if "parse" in f.metadata]
 
 
 def base(experiment, **kw):
@@ -559,12 +565,17 @@ def assert_config_error(code, capsys, out):
         ("martingale-check", dict(BROWNIAN, samples=2, pairs=[[0, True]])),
         ("lift", dict(BROWNIAN, samples=1, depth=True)),
         ("pvar", dict(PVAR, kernel={"kind": "fbm", "hurst": "0.4"})),
+        ("rhovar", dict(BROWNIAN, rho=10**400)),
+        ("pvar", dict(PVAR, rho=0.5)),
+        ("kl-converge", dict(KLCONV, rho=-3.0)),
     ],
 )
 def test_cli_non_finite_number_exit_2(tmp_path, capsys, name, config):
     # json.dumps writes NaN / Infinity, which json.load accepts.  The later rows
     # are malformed values of other kinds: a float or bool where an integer
-    # belongs, an unhashable kernel kind and a numeric string.
+    # belongs, an unhashable kernel kind, a numeric string, an integer too
+    # large for a float, and rho below 1, outside its range in every
+    # subcommand that takes it.
     code, out = run_cli(tmp_path, name, config)
     assert_config_error(code, capsys, out)
 
@@ -668,14 +679,21 @@ def test_cli_data_error_exit_3(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("sub", ["uniform-modulus", "twovar-bound"])
-def test_cli_rank_zero_covariance_exit_3(tmp_path, capsys, sub):
-    # An all-zero table kernel leaves no KL mode to draw a random mode set from.
+@pytest.mark.parametrize(
+    "sub, keys",
+    [
+        ("uniform-modulus", dict(samples=2)),
+        ("twovar-bound", {}),
+        ("kl-converge", dict(samples=2, p=3.0, q=2, m=[1])),
+    ],
+    ids=["uniform-modulus", "twovar-bound", "kl-converge"],
+)
+def test_cli_rank_zero_covariance_exit_3(tmp_path, capsys, sub, keys):
+    # An all-zero table kernel leaves no KL mode to draw a random mode set
+    # from, and no mode to keep.
     table = tmp_path / "cov.csv"
     table.write_text(_TABLES["zero"])
-    config = dict(BROWNIAN, n=4, kernel={"kind": "table", "path": str(table)})
-    if sub == "uniform-modulus":
-        config["samples"] = 2
+    config = dict(BROWNIAN, n=4, kernel={"kind": "table", "path": str(table)}, **keys)
     code, out = run_cli(tmp_path, sub, config)
     err = capsys.readouterr().err
     assert code == 3 and not out.exists()
@@ -1001,6 +1019,31 @@ def test_cli_failed_write_exit_2(tmp_path, capsys):
     assert err.startswith("config error: cannot write --out '/dev/full'")
 
 
+def test_cli_write_failing_part_way_leaves_no_file(tmp_path):
+    # The child alone may write at most 4096 bytes to a file and ignores
+    # SIGXFSZ, so writing the ~30 kB lift fails part way with EFBIG.
+    pytest.importorskip("resource")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": {"kind": "fbm", "hurst": 0.4}, "n": 64, "seed": 0,
+                               "d": 2, "samples": 2, "depth": 2}))
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(gaussrough.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    child = (
+        "import resource, runpy, signal; "
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)); "
+        "runpy.run_module('gaussrough.cli', run_name='__main__')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "lift", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2 and not out.exists()
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: cannot write --out {str(out)!r}")
+
+
 def test_cli_lift_overflow_exit_3(tmp_path, capsys):
     # A huge covariance samples finite paths whose lift overflows.
     times = uniform_grid(4).times
@@ -1083,7 +1126,7 @@ def test_cli_long_format_matches_row_writer(tmp_path, name, kernel):
     table.write_text("0,0.5,1\n0,0,0\n0,0,0\n0,0,1\n")
     kernels = {"brownian": {"kind": "brownian"}, "fbm": {"kind": "fbm", "hurst": 0.4},
                "table": {"kind": "table", "path": str(table)}}
-    experiment, _, columns, _, _ = SUBCOMMANDS[name]
+    experiment, columns = SUBCOMMANDS[name].experiment, SUBCOMMANDS[name].columns
     reference = {"simulate": _reference_simulate_rows, "lift": _reference_lift_rows}[name]
     depths = [1, 2, 3] if name == "lift" else [None]
     for d, depth, n, samples in itertools.product([1, 2, 3], depths, [1, 5], [0, 2]):
@@ -1162,12 +1205,14 @@ def test_readme_key_table_matches_schema():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if line.startswith("| `") and len(cells) == 3:
             table[cells[0].strip("`")] = set(re.findall(r"`([a-z_]+)`", cells[1]))
-    assert table == {sub: set(keys) for sub, (_, _, _, keys, _) in SUBCOMMANDS.items()}
+    assert table == {sub: set(entry.keys) for sub, entry in SUBCOMMANDS.items()}
     # Every accepted key has a parser (load_config drops keys without one),
-    # and every parsed key is accepted somewhere; no two subcommands share a tag.
+    # every parsed key is accepted somewhere, every required key is accepted,
+    # and no two subcommands share a tag.
     entries = SUBCOMMANDS.values()
-    assert set().union(*(keys for *_, keys, _ in entries)) == set(_SCHEMA) - {"kernel", "n", "seed"}
-    assert len({tag for tag, *_ in entries}) == len(SUBCOMMANDS)
+    assert set().union(*(e.keys for e in entries)) == set(CONFIG_KEYS) - {"kernel", "n", "seed"}
+    assert all(set(e.required) <= set(e.keys) for e in entries)
+    assert len({e.experiment for e in entries}) == len(SUBCOMMANDS)
 
 
 # Valid values for every schema key except the universal ones, with n <= 8.
@@ -1226,13 +1271,13 @@ def test_cli_fuzz_exit_codes(data):
         "n": data.draw(st.integers(1, 8)),
         "seed": data.draw(st.integers(0, 2**32)),
     }
-    keys = SUBCOMMANDS[sub][3]
+    keys = SUBCOMMANDS[sub].keys
     omit = data.draw(st.sets(st.sampled_from(keys), max_size=2))
     config.update({key: data.draw(_GOOD[key]) for key in keys if key not in omit})
     # Half the configs get up to two wrong values or unknown keys.
     config.update(data.draw(st.one_of(
         st.just({}),
-        st.dictionaries(st.sampled_from(sorted(_SCHEMA) + ["bogus"]), _BAD, min_size=1, max_size=2),
+        st.dictionaries(st.sampled_from(sorted(CONFIG_KEYS) + ["bogus"]), _BAD, min_size=1, max_size=2),
     )))
     ext = data.draw(st.sampled_from([".csv", ".json"]))
     with tempfile.TemporaryDirectory() as tmp:
