@@ -1,15 +1,17 @@
 """Experiment runners over lifted Gaussian paths, with CSV/JSON emission.
 
 Each runner consumes a validated ExperimentConfig and returns ResultRecords;
-``simulate_blocks`` and ``lift_blocks`` turn sampled paths into blocks of
-long-format rows that share their labels, and ``emit`` writes any blocks
-under their columns (a record list is one block).  Each config key is
-declared once, as an ``ExperimentConfig`` field that carries its parser and
-range, and ``SUBCOMMANDS`` declares each command-line subcommand once: its
-experiment tag, producer of blocks, accepted and required config keys,
-sample minimum, whether it lifts paths, and columns.  All randomness flows
-through the config seed (per-draw substreams, see gaussian_process), so a
-given config produces byte-identical output files.
+``simulate_blocks`` and ``lift_blocks`` turn sampled paths into value blocks
+of long-format rows, each carrying label columns (the times, and for a lift
+the coordinate names) whose product gives its label rows, and ``emit`` writes
+any blocks under their columns (a record block carries its rows, and a record
+list is one block).  Each config key is declared once, as an
+``ExperimentConfig`` field that carries its parser and range, and
+``SUBCOMMANDS`` declares each command-line subcommand once: its experiment
+tag, producer of blocks, accepted and required config keys, sample minimum,
+whether it lifts paths, and columns.  All randomness flows through the config
+seed (per-draw substreams, see gaussian_process), so a given config produces
+byte-identical output files.
 
 Scale: every runner works on the grid covariance divided by 4^e, with e
 chosen by ``_grid_cov`` (0 for Brownian motion and fbm), and multiplies each
@@ -33,10 +35,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
+import types
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, NamedTuple, get_args, get_type_hints
@@ -110,7 +114,9 @@ def _bound(lo, hi) -> str:
     return "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
 
 
-def _int(lo: int, hi: int | None = None):
+def _int(lo: int, hi: int | None = sys.maxsize):
+    # sys.maxsize, the largest index numpy can hold, bounds every size; None
+    # leaves an integer unbounded.
     def parse(key, v):
         if not _is_int(v) or v < lo or (hi is not None and v > hi):
             raise ConfigError(f"{key!r} must be an integer{_bound(lo, hi)}")
@@ -219,8 +225,8 @@ class ExperimentConfig:
 
     experiment: str
     kernel: CovKernel = _key(_kernel)
-    n: int = _key(_int(1))
-    seed: int = _key(_int(0))
+    n: int = _key(_int(1, sys.maxsize - 1))  # n + 1 nodes
+    seed: int = _key(_int(0, None))
     d: int = _key(_int(1), 1)
     p: float | None = _key(_number(1), None)
     q: float | None = _key(_number(1), None)
@@ -316,41 +322,36 @@ PATH_COLUMNS = ("sample", "component", "time", "value")
 LIFT_COLUMNS = ("sample", "time", "coordinate", "value")
 
 
-class _Lines(list):
-    """A list that ``csv.writer`` can write to: one item per row written."""
+def _csv_cells(columns) -> list[str]:
+    """The CSV cells of each row of the product of ``columns``, first column
+    slowest, each cell followed by the delimiter.
 
-    write = list.append
-
-
-def _csv_cells(rows: list[tuple]) -> list[str]:
-    """Each row's CSV cells, each followed by the delimiter.
-
-    The rows have one length.  A cell object that several rows share is
-    formatted once: it is written followed by two empty cells, so that it is
-    not quoted as a lone empty field would be, and cut off after its own
-    delimiter.
+    Each value of a column is formatted once: it is written followed by two
+    empty cells, so that it is not quoted as a lone empty field would be, and
+    cut off after its own delimiter.
     """
-    columns = [[""] * len(rows)]  # keeps one string per row when rows have no cells
-    for column in zip(*rows, strict=True):
-        distinct = {id(x): x for x in column}
-        lines = _Lines()
-        csv.writer(lines, lineterminator="\n").writerows((x, None, None) for x in distinct.values())
-        text = dict(zip(distinct, [line[:-2] for line in lines]))
-        columns.append([text[id(x)] for x in column])
-    return list(map("".join, zip(*columns)))
+    # writerow returns what its file's write returns: here the line itself.
+    line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+    cells = [""]
+    for column in columns:
+        texts = [line((x, None, None))[:-2] for x in column]
+        cells = [a + b for a in cells for b in texts]
+    return cells
 
 
 def emit(blocks, fmt: str, path: str, columns: tuple[str, ...] = CSV_COLUMNS) -> None:
     """Write ``blocks`` as 'csv' or 'json' rows in ``columns`` order.
 
-    A block ``(head, labels, values)`` stands for the rows
-    ``head + label + (value,)``, label by label and value by value, where the
-    labels have one length and the values are floats; with ``values`` None it
-    stands for the rows ``head + label``, so a record list is the one block
-    ``((), records, None)``.  CSV leaves None empty and writes floats with
-    ``repr``, so it round-trips exactly; each head, and each labels list
-    that consecutive blocks share, is formatted once.  JSON is a list of
-    objects keyed by the column names.
+    A value block ``(head, labels, values)`` stands for the rows
+    ``head + label + (value,)``, label by label and value by value, where
+    ``labels`` is a tuple of label columns whose Cartesian product, first
+    column slowest, gives the label rows, and the values are floats.  A
+    record block ``(head, rows, None)`` stands for the rows ``head + row``,
+    so a record list is the one block ``((), records, None)``.  CSV leaves
+    None empty and writes floats with ``repr``, so it round-trips exactly;
+    each head, and each label value of the columns that consecutive blocks
+    share, is formatted once.  JSON is a list of objects keyed by the column
+    names.
     """
     # Buffering the whole output means a failing runner leaves no file.
     buf = io.StringIO()
@@ -364,7 +365,7 @@ def emit(blocks, fmt: str, path: str, columns: tuple[str, ...] = CSV_COLUMNS) ->
                 continue
             if labels is not shared:
                 shared, cells = labels, _csv_cells(labels)
-            pre = _csv_cells([head])[0]
+            pre = _csv_cells([(h,) for h in head])[0]
             buf.writelines([f"{pre}{c}{v!r}\n" for c, v in zip(cells, values, strict=True)])
     elif fmt == "json":
         rows = []
@@ -372,7 +373,8 @@ def emit(blocks, fmt: str, path: str, columns: tuple[str, ...] = CSV_COLUMNS) ->
             if values is None:
                 rows += [head + label for label in labels]
             else:
-                rows += [head + label + (v,) for label, v in zip(labels, values, strict=True)]
+                label_rows = itertools.product(*labels)
+                rows += [head + label + (v,) for label, v in zip(label_rows, values, strict=True)]
         json.dump([dict(zip(columns, row)) for row in rows], buf, indent=2)
         buf.write("\n")
     else:
@@ -755,7 +757,7 @@ def run_lift(cfg: ExperimentConfig) -> list[np.ndarray]:
 def simulate_blocks(cfg: ExperimentConfig) -> list:
     """``simulate`` output as ``emit`` blocks of (sample, component, time,
     value) rows: one per sample and component, all sharing the time labels."""
-    labels = [(t,) for t in uniform_grid(cfg.n).times.tolist()]
+    labels = (uniform_grid(cfg.n).times.tolist(),)
     values = run_simulate(cfg)
     if not np.isfinite(values).all():
         raise DataError("sampled path values are not finite")
@@ -777,7 +779,7 @@ def lift_blocks(cfg: ExperimentConfig) -> list:
     blocks = []
     for k, logs in enumerate(lifts, start=1):
         names = ["L%d[%s]" % (k, ",".join(map(str, ix))) for ix in np.ndindex(logs.shape[2:])]
-        labels = [(t, name) for t in times for name in names]
+        labels = (times, names)
         blocks += [((s,), labels, sample.ravel().tolist()) for s, sample in enumerate(logs)]
     return blocks
 

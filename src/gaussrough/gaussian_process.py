@@ -202,7 +202,10 @@ def cov_matrix(kernel: CovKernel, grid: TimeGrid) -> CovMatrix:
     """
     t = grid.times
     entries = kernel_eval(kernel, t[:, None], t[None, :])
-    entries = 0.5 * (entries + entries.T)
+    if kernel.kind == "table":
+        # Bilinear table entries are not exactly symmetric; the analytic
+        # kernels evaluate R(s, t) and R(t, s) with the same operations.
+        entries = 0.5 * (entries + entries.T)
     r = CovMatrix(grid, entries)
     active, _ = r.factor
     if np.any(entries[~active]):

@@ -188,26 +188,34 @@ def _row_writer_text(rows, columns, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_blocks_match_row_writer(tmp_path, fmt):
+    # A value block carries label columns whose product, first column
+    # slowest, gives its label rows; a record block carries its rows.
     columns = ("a", "b", "c", "value")
-    shared = [(0.0, "L1[0]"), (0.5, "L2[0,1]"), (1.0, 'q"uote')]
+    shared = ([0.0, 0.5, 1.0], ["L1[0]", 'q"uote'])
     blocks = [
-        ((0,), shared, [0.0, -0.0, 1e-300]),
-        ((1,), shared, [-1.5, 2.0 / 3.0, 5e300]),
-        ((), [(7, 0.25, "x,y"), (0.0, 1, True), (-0.0, 1.0, 1)], [-0.0, 2.0, 3.0]),
-        ((2, 3), [(None,), ("",)], [1.0, 0.1]),
-        ((4,), [], []),
-        ((5, 6), [(), ()], [0.25, -0.0]),
+        ((0,), shared, [0.0, -0.0, 1e-300, 2.0, 0.1, 3.0]),
+        ((1,), shared, [-1.5, 2.0 / 3.0, 5e300, -0.0, 1.0, 0.5]),  # shared columns
         ((), [(8, None, "", 0.5), ("",)], None),
+        ((2,), shared, [4.0, 5.0, 6.0, 7.0, 8.0, 9.0]),  # shared again after records
+        ((3,), ([0.0, 0.5, 1.0], ["L1[0]", 'q"uote']), [1.0] * 6),  # equal, not shared
+        # Equal cells of other types and signs stay distinct: 1, 1.0 and True.
+        ((), ([7, 0.0, -0.0], [0.25, 1, 1.0, True], ["x,y"]), [float(i) for i in range(12)]),
+        ((None, ""), (["", None],), [1.0, 0.1]),  # a head of two cells
+        ((4,), ([], ["z"]), []),  # no label rows
+        ((5, 6), (), [0.25]),  # no label columns: one empty label row
         ((9,), [(None,)], None),
     ]
     rows = [head + label + (() if values is None else (v,))
             for head, labels, values in blocks
-            for label, v in zip(labels, [None] * len(labels) if values is None else values)]
+            for label, v in zip(labels if values is None else itertools.product(*labels),
+                                [None] * len(labels) if values is None else values)]
+    assert len(rows) == 6 * 4 + 2 + 12 + 2 + 1 + 1
+    assert rows[:3] == [(0, 0.0, "L1[0]", 0.0), (0, 0.0, 'q"uote', -0.0), (0, 0.5, "L1[0]", 1e-300)]
     out = tmp_path / f"out.{fmt}"
     emit(blocks, fmt, str(out), columns)
     assert out.read_text() == _row_writer_text(rows, columns, fmt)
-    # A block with no labels, or no block at all, leaves only the header.
-    emit([((0,), [], [])], fmt, str(out), columns)
+    # A block with no label rows, or no block at all, leaves only the header.
+    emit([((0,), ((),), [])], fmt, str(out), columns)
     assert out.read_text() == _row_writer_text([], columns, fmt)
     emit([], fmt, str(out), columns)
     assert out.read_text() == _row_writer_text([], columns, fmt)
@@ -578,6 +586,34 @@ def test_cli_non_finite_number_exit_2(tmp_path, capsys, name, config):
     # subcommand that takes it.
     code, out = run_cli(tmp_path, name, config)
     assert_config_error(code, capsys, out)
+
+
+@pytest.mark.parametrize("name, config, message", [
+    ("rhovar", dict(BROWNIAN, n=10**400), f"'n' must be an integer in [1, {sys.maxsize - 1}]"),
+    ("rhovar", dict(BROWNIAN, n=sys.maxsize), f"'n' must be an integer in [1, {sys.maxsize - 1}]"),
+    ("simulate", dict(BROWNIAN, samples=10**31), f"'samples' must be an integer in [0, {sys.maxsize}]"),
+], ids=["rhovar-n", "rhovar-n-nodes", "simulate-samples"])
+def test_cli_process_huge_size_exit_2(tmp_path, name, config, message):
+    # A size beyond sys.maxsize, the largest index numpy can hold, is a config
+    # error, and so is a grid whose n + 1 nodes exceed it; numpy itself would
+    # raise ValueError or IndexError with a traceback.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(gaussrough.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaussrough.cli", name, "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2 and not out.exists()
+    lines = proc.stderr.splitlines()
+    assert lines == [f"config error: {message}"]
+
+
+def test_int_upper_bounds():
+    # The seed is not a size: any non-negative integer selects a stream.
+    assert base("rhovar", seed=10**30).seed == 10**30
+    assert base("rhovar", n=sys.maxsize - 1).n == sys.maxsize - 1
 
 
 def test_cli_non_finite_table_exit_2(tmp_path, capsys):

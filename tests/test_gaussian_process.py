@@ -104,6 +104,30 @@ def test_cov_matrix_brownian():
     assert np.array_equal(r.entries, r.entries.T)
 
 
+@pytest.mark.parametrize("kernel", [CovKernel.brownian()] + [
+    CovKernel.fbm(h) for h in (0.26, 0.3, 0.35, 0.4, 0.5, 0.7, 0.99)
+], ids=lambda k: k.kind if k.hurst is None else f"fbm-{k.hurst}")
+def test_analytic_kernel_grid_square_exactly_symmetric(kernel):
+    # cov_matrix symmetrizes only table kernels: the analytic ones must give
+    # R(s, t) and R(t, s) bit for bit.
+    for n in (1, 2, 3, 7, 28, 80, 100, 256, 333, 512, 1024):
+        t = uniform_grid(n).times
+        entries = kernel_eval(kernel, t[:, None], t[None, :])
+        assert np.array_equal(entries, entries.T), n
+
+
+def test_table_cov_matrix_symmetrized():
+    # Bilinear table entries are not exactly symmetric on this grid, so
+    # cov_matrix averages the square with its transpose.
+    k = CovKernel.from_table(np.array([0.0, 0.5, 1.0]),
+                             np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.3], [0.0, 0.3, 1.2]]))
+    t = uniform_grid(28).times
+    entries = kernel_eval(k, t[:, None], t[None, :])
+    assert not np.array_equal(entries, entries.T)
+    r = cov_matrix(k, uniform_grid(28))
+    assert np.array_equal(r.entries, 0.5 * (entries + entries.T))
+
+
 def test_non_psd_table_raises():
     times = uniform_grid(2).times
     vals = np.array([[1.0, 0.0, 0.9], [0.0, 1.0, 0.0], [0.9, 0.0, -0.5]])
