@@ -293,6 +293,10 @@ def _validate_regime(cfg: ExperimentConfig, entry: Subcommand) -> None:
             raise ConfigError(f"{f.name!r} cannot exceed the segment count n = {cfg.n}")
     if cfg.samples < entry.min_samples:
         raise ConfigError(f"{cfg.experiment} requires samples >= {entry.min_samples}")
+    # The draws, (samples, d, n + 1) doubles, are the first array that scales
+    # with samples; numpy refuses any array beyond sys.maxsize bytes.
+    if cfg.samples * cfg.d * (cfg.n + 1) * 8 > sys.maxsize:
+        raise ConfigError(f"samples * d * (n + 1) doubles exceed {sys.maxsize} bytes")
     if cfg.mode == "dyadic":
         if any(v & (v - 1) for v in (cfg.n, *cfg.m)):
             raise ConfigError("dyadic mode requires power-of-two grid sizes")

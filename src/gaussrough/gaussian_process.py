@@ -25,6 +25,14 @@ zero-variance node coupled to others) pays for ``eigh``, whose smallest
 eigenvalue then decides against ``_PSD_TOL`` times the largest.  Every
 tolerance here is relative to the matrix's own scale.
 
+The grid covariance is evaluated in place: the fbm square is built in two
+arrays of its size, a table's cells and weights are found per axis before
+they broadcast, and a table square is symmetrized in place.  When the
+positive-variance nodes are contiguous (every Brownian and fbm grid) the
+factored block is a view of the matrix, so a certified covariance holds the
+matrix and its factor and no copy of either.  No step changes a bit of the
+entries or of the factor.
+
 Reproducibility contract: draw k of a call with seed s uses the generator
 ``np.random.default_rng([s, k])``, so each draw has its own substream and
 results are independent of batching or evaluation order.  The generator
@@ -108,25 +116,35 @@ class CovKernel:
         return cls("table", table_times=times, table_values=values)
 
 
+def _cells(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Table cell of each x and its weight (x - left node) / cell width."""
+    cell = np.clip(np.searchsorted(times, x, side="right") - 1, 0, times.size - 2)
+    return cell, (x - times[cell]) / (times[cell + 1] - times[cell])
+
+
 def _bilinear(times: np.ndarray, values: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    cell_s = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
-    cell_t = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
-    ws = (s - times[cell_s]) / (times[cell_s + 1] - times[cell_s])
-    wt = (t - times[cell_t]) / (times[cell_t + 1] - times[cell_t])
-    v00 = values[cell_s, cell_t]
-    v10 = values[cell_s + 1, cell_t]
-    v01 = values[cell_s, cell_t + 1]
-    v11 = values[cell_s + 1, cell_t + 1]
+    # Only the corner gathers and their weighted sum have the broadcast shape.
+    cell_s, ws = _cells(times, s)
+    cell_t, wt = _cells(times, t)
     return (
-        (1 - ws) * (1 - wt) * v00
-        + ws * (1 - wt) * v10
-        + (1 - ws) * wt * v01
-        + ws * wt * v11
+        (1 - ws) * (1 - wt) * values[cell_s, cell_t]
+        + ws * (1 - wt) * values[cell_s + 1, cell_t]
+        + (1 - ws) * wt * values[cell_s, cell_t + 1]
+        + ws * wt * values[cell_s + 1, cell_t + 1]
     )
 
 
 def kernel_eval(kernel: CovKernel, s, t):
-    """Evaluate R(s, t); broadcasts over array arguments."""
+    """Evaluate R(s, t); broadcasts over array arguments, and gives a float
+    for scalar or 0-d ones.
+
+    Each kernel has one formula.  The fbm square is built in two arrays of
+    the broadcast shape: the lag |t - s|^{2H} is raised in place and
+    subtracted in place from s^{2H} + t^{2H}.  These are the operations of
+    ``0.5 * (s**h2 + t**h2 - np.abs(t - s) ** h2)`` in its order, so the bits
+    are its bits.  A table's cells and weights are found per axis, before s
+    and t broadcast.
+    """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(s < 0) or np.any(s > 1) or np.any(t < 0) or np.any(t > 1):
@@ -135,11 +153,24 @@ def kernel_eval(kernel: CovKernel, s, t):
         out = np.minimum(s, t)
     elif kernel.kind == "fbm":
         h2 = 2.0 * kernel.hurst
-        out = 0.5 * (s**h2 + t**h2 - np.abs(t - s) ** h2)
+        lag = np.abs(t - s)
+        lag **= h2
+        out = s**h2 + t**h2
+        out -= lag
+        out *= 0.5
     else:
-        s, t = np.broadcast_arrays(s, t)
         out = _bilinear(kernel.table_times, kernel.table_values, s, t)
     return out if out.ndim else float(out)
+
+
+def _active_cols(active: np.ndarray) -> slice | np.ndarray:
+    """The nodes of the mask ``active`` as a slice when they are contiguous,
+    else the mask itself.  A slice reads a block as a view and writes it
+    several times faster than a mask does."""
+    idx = np.flatnonzero(active)
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(idx[0], idx[-1] + 1)
+    return active
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,10 +205,16 @@ class CovMatrix:
         """(mask of the nodes with positive variance, square root S of their
         block, S @ S.T = block), computed on first use and kept.  S is the
         lower Cholesky factor where that factorization exists, else the eigen
-        square root of the kept ``modes``, of shape (active nodes, rank)."""
+        square root of the kept ``modes``, of shape (active nodes, rank).
+
+        The block is ``entries[cols][:, cols]`` with ``cols`` from
+        ``_active_cols``: for contiguous active nodes (every Brownian and fbm
+        grid, all but node 0) it is a view, and only the factor is allocated.
+        """
         diag = np.diag(self.entries)
         active = diag > _ZERO_VAR_TOL * np.max(diag, initial=0.0)
-        block = self.entries[np.ix_(active, active)]
+        cols = _active_cols(active)
+        block = self.entries[cols][:, cols]
         try:
             return active, np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
@@ -199,13 +236,21 @@ def cov_matrix(kernel: CovKernel, grid: TimeGrid) -> CovMatrix:
     ||R||.  Otherwise the ``eigh`` behind ``CovMatrix.modes`` decides, and
     raises DataError when the smallest eigenvalue is below -1e-10 times the
     largest (table kernels can be arbitrarily bad; the analytic ones cannot).
+
+    The entries are ``kernel_eval``'s array, symmetrized in place for a
+    table, and ``CovMatrix.factor`` reads their positive-variance block as a
+    view when its nodes are contiguous, so the traced peak is about two
+    matrices: the entries and the factor.
     """
     t = grid.times
     entries = kernel_eval(kernel, t[:, None], t[None, :])
     if kernel.kind == "table":
         # Bilinear table entries are not exactly symmetric; the analytic
         # kernels evaluate R(s, t) and R(t, s) with the same operations.
-        entries = 0.5 * (entries + entries.T)
+        # numpy buffers the overlapping transpose, so this is the bits of
+        # 0.5 * (entries + entries.T).
+        entries += entries.T
+        entries *= 0.5
     r = CovMatrix(grid, entries)
     active, _ = r.factor
     if np.any(entries[~active]):
@@ -340,11 +385,7 @@ def sample_values(r: CovMatrix, dim: int, count: int, seed: int, first: int = 0)
     if n_active == 0 or count == 0:
         return out
     z = draw_normals(seed, count, (dim, rank), first)
-    # A slice write is several times faster than a mask write; the active
-    # nodes are contiguous for Brownian motion and fbm (all but node 0).
-    idx = np.flatnonzero(active)
-    cols = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == n_active else active
-    out[:, :, cols] = (z.reshape(count * dim, rank) @ root.T).reshape(
+    out[:, :, _active_cols(active)] = (z.reshape(count * dim, rank) @ root.T).reshape(
         count, dim, n_active
     )
     return out

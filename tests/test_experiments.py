@@ -588,21 +588,41 @@ def test_cli_non_finite_number_exit_2(tmp_path, capsys, name, config):
     assert_config_error(code, capsys, out)
 
 
+_TOO_MANY_DOUBLES = f"samples * d * (n + 1) doubles exceed {sys.maxsize} bytes"
+# The command line in a child process that alone runs under a 1.5 GB
+# address-space limit.
+_LIMITED_CLI = (
+    "import resource, runpy; "
+    "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
+    "runpy.run_module('gaussrough.cli', run_name='__main__')"
+)
+
+
 @pytest.mark.parametrize("name, config, message", [
     ("rhovar", dict(BROWNIAN, n=10**400), f"'n' must be an integer in [1, {sys.maxsize - 1}]"),
     ("rhovar", dict(BROWNIAN, n=sys.maxsize), f"'n' must be an integer in [1, {sys.maxsize - 1}]"),
     ("simulate", dict(BROWNIAN, samples=10**31), f"'samples' must be an integer in [0, {sys.maxsize}]"),
-], ids=["rhovar-n", "rhovar-n-nodes", "simulate-samples"])
+    ("simulate", dict(BROWNIAN, samples=2**62, d=4), _TOO_MANY_DOUBLES),
+    ("simulate", dict(BROWNIAN, samples=sys.maxsize // 72 + 1), _TOO_MANY_DOUBLES),
+    ("kl-converge", dict(KLCONV, samples=2**60), _TOO_MANY_DOUBLES),
+    ("martingale-check", dict(BROWNIAN, samples=2**59, d=2), _TOO_MANY_DOUBLES),
+    ("translate-check", dict(BROWNIAN, samples=2**60), _TOO_MANY_DOUBLES),
+], ids=["rhovar-n", "rhovar-n-nodes", "simulate-samples", "simulate-samples-d",
+        "simulate-bytes", "kl-converge-samples", "martingale-samples", "translate-samples"])
 def test_cli_process_huge_size_exit_2(tmp_path, name, config, message):
     # A size beyond sys.maxsize, the largest index numpy can hold, is a config
-    # error, and so is a grid whose n + 1 nodes exceed it; numpy itself would
-    # raise ValueError or IndexError with a traceback.
+    # error, and so is a grid whose n + 1 nodes exceed it, or draws of
+    # samples * d * (n + 1) doubles beyond sys.maxsize bytes; numpy itself
+    # would raise ValueError or IndexError with a traceback.  The child alone
+    # runs under a 1.5 GB address-space limit, so no case can allocate its way
+    # past the check.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out.csv"
-    env = dict(os.environ, PYTHONPATH=str(Path(gaussrough.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(gaussrough.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "gaussrough.cli", name, "--config", str(cfg), "--out", str(out)],
+        [sys.executable, "-c", _LIMITED_CLI, name, "--config", str(cfg), "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2 and not out.exists()
@@ -614,6 +634,11 @@ def test_int_upper_bounds():
     # The seed is not a size: any non-negative integer selects a stream.
     assert base("rhovar", seed=10**30).seed == 10**30
     assert base("rhovar", n=sys.maxsize - 1).n == sys.maxsize - 1
+    # Draws of at most sys.maxsize bytes pass validation (n = 8: nine nodes).
+    assert base("simulate", samples=sys.maxsize // 72).samples == sys.maxsize // 72
+    assert base("simulate", samples=sys.maxsize // 144, d=2).d == 2
+    with pytest.raises(ConfigError, match="doubles exceed"):
+        base("simulate", samples=sys.maxsize // 144 + 1, d=2)
 
 
 def test_cli_non_finite_table_exit_2(tmp_path, capsys):
@@ -676,13 +701,8 @@ def test_cli_out_of_memory_exit_3(tmp_path):
     out = tmp_path / "out.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(gaussrough.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1")
-    child = (
-        "import resource, runpy; "
-        "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
-        "runpy.run_module('gaussrough.cli', run_name='__main__')"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", child, "rhovar", "--config", str(cfg), "--out", str(out)],
+        [sys.executable, "-c", _LIMITED_CLI, "rhovar", "--config", str(cfg), "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 3 and not out.exists()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,116 @@ def test_analytic_kernel_grid_square_exactly_symmetric(kernel):
         t = uniform_grid(n).times
         entries = kernel_eval(kernel, t[:, None], t[None, :])
         assert np.array_equal(entries, entries.T), n
+
+
+def _broadcast_bilinear(times, values, s, t):
+    # The table kernel as a reference: s and t broadcast first, then every
+    # cell, weight and corner is found on the full shape.
+    s, t = np.broadcast_arrays(s, t)
+    cell_s = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
+    cell_t = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
+    ws = (s - times[cell_s]) / (times[cell_s + 1] - times[cell_s])
+    wt = (t - times[cell_t]) / (times[cell_t + 1] - times[cell_t])
+    v00 = values[cell_s, cell_t]
+    v10 = values[cell_s + 1, cell_t]
+    v01 = values[cell_s, cell_t + 1]
+    v11 = values[cell_s + 1, cell_t + 1]
+    return (
+        (1 - ws) * (1 - wt) * v00
+        + ws * (1 - wt) * v10
+        + (1 - ws) * wt * v01
+        + ws * wt * v11
+    )
+
+
+def _args(n, rng):
+    # The grid square, scalars, and mixed shapes that broadcast.
+    t = uniform_grid(n).times
+    yield t[:, None], t[None, :]
+    yield 0.3, 0.7
+    yield np.float64(0.9), np.array(0.2)
+    yield 0.25, rng.uniform(size=(3, 4))
+    yield rng.uniform(size=(2, 1, 5)), rng.uniform(size=(4, 1))
+    yield t, t[::-1]
+
+
+def _assert_same_bits(got, want):
+    if np.ndim(want) == 0:
+        assert type(got) is float and got == float(want)
+    else:
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("hurst", [0.26, 0.4, 0.5, 0.99])
+def test_fbm_kernel_equals_closed_form_bits(hurst):
+    # The in-place evaluation gives the bits of the closed form, and a float
+    # for scalar arguments.
+    k = CovKernel.fbm(hurst)
+    h2 = 2.0 * hurst
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 80, 333, 512):
+        for s, t in _args(n, rng):
+            s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+            want = 0.5 * (s**h2 + t**h2 - np.abs(t - s) ** h2)
+            _assert_same_bits(kernel_eval(k, s, t), want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_table_kernel_equals_broadcast_bilinear_bits(seed):
+    # Cells and weights found per axis give the bits of the broadcast form,
+    # on random PSD tables over non-uniform table grids.
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, 12))
+    times = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(size=size - 2)]))
+    a = rng.normal(size=(size, size))
+    k = CovKernel.from_table(times, a @ a.T)
+    for n in (1, 7, 80, 333):
+        for s, t in _args(n, rng):
+            s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+            want = _broadcast_bilinear(k.table_times, k.table_values, s, t)
+            _assert_same_bits(kernel_eval(k, s, t), want)
+
+
+def test_cov_matrix_peak_memory():
+    # The fbm square is built from two arrays of its size and the Cholesky
+    # factor reads the positive-variance block as a view, so the traced peak
+    # stays near two matrices: the covariance and its factor.
+    n = 512
+    grid = uniform_grid(n)
+    k = CovKernel.fbm(0.4)
+    cov_matrix(k, grid)  # lazy set-up outside the traced call
+    tracemalloc.start()
+    try:
+        cov_matrix(k, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (n + 1) ** 2 * 8
+
+
+def _pinned_table(times):
+    # A Brownian bridge from 0 to 0 on [0, 1/2], then a fresh Brownian
+    # motion: variance zero at t = 0 and t = 1/2, positive elsewhere.
+    s, t = np.meshgrid(times, times, indexing="ij")
+    bridge = (s <= 0.5) & (t <= 0.5)
+    fresh = (s >= 0.5) & (t >= 0.5)
+    return np.where(bridge, np.minimum(s, t) - 2 * s * t, np.where(fresh, np.minimum(s, t) - 0.5, 0.0))
+
+
+def test_factor_and_sampling_with_interior_zero_variance():
+    # Tabulated on the run's own nodes, the covariance is exact, its zero
+    # rows are exactly zero and the active block has a Cholesky factor; the
+    # active nodes are not contiguous, so the mask route runs.
+    grid = uniform_grid(8)
+    r = cov_matrix(CovKernel.from_table(grid.times, _pinned_table(grid.times)), grid)
+    active, root = r.factor
+    assert np.array_equal(np.flatnonzero(~active), [0, 4])
+    assert np.array_equal(root, np.linalg.cholesky(r.entries[np.ix_(active, active)]))
+    values = sample_values(r, 2, 5, seed=9)
+    assert values.shape == (5, 2, 9)
+    assert np.all(values[:, :, ~active] == 0.0)
+    z = draw_normals(9, 5, (2, 7))
+    assert np.array_equal(values[:, :, active], (z.reshape(10, 7) @ root.T).reshape(5, 2, 7))
 
 
 def test_table_cov_matrix_symmetrized():

@@ -2,11 +2,13 @@
 
 Usage: python tools/output_digests.py [--src SRC_DIR] [CASE_PATTERN ...]
 
-Runs each of the nine subcommands at n = 8 on three kernels (Brownian motion,
-fbm with H = 0.4, and a 3-node table), plus two configs whose size no numpy
-array can hold.  A case is named SUBCOMMAND/KERNEL, such as ``lift/fbm`` or
-``rhovar/huge-n``; the patterns (shell wildcards, default ``*``) select the
-cases.  Each case runs with the seeds 7 and 2^40, writing CSV and JSON.
+Runs each of the nine subcommands at n = 8 on four kernels (Brownian motion,
+fbm with H = 0.4, a 3-node table, and a table on the run's own nine nodes
+with zero variance at t = 1/2 as well as at 0), plus two configs whose size
+no numpy array can hold.  A case is named SUBCOMMAND/KERNEL, such as
+``lift/fbm`` or ``rhovar/huge-n``; the patterns (shell wildcards, default
+``*``) select the cases.  Each case runs with the seeds 7 and 2^40, writing
+CSV and JSON.
 
 SRC_DIR is the directory that holds the gaussrough package, by default src
 next to this script's parent directory; pass another checkout's to compare
@@ -37,12 +39,31 @@ from pathlib import Path
 N = 8
 SEEDS = (7, 2**40)
 FORMATS = ("csv", "json")
-# A PSD covariance on the nodes 0, 0.5 and 1, zero at time 0.
-TABLE = "0,0.5,1\n0,0,0\n0,0.5,0.3\n0,0.3,1.2\n"
+NODES = [i / N for i in range(N + 1)]
+
+
+def _pinned(s: float, t: float) -> float:
+    # A Brownian bridge from 0 to 0 on [0, 1/2], then a fresh Brownian motion.
+    if s <= 0.5 and t <= 0.5:
+        return min(s, t) - 2 * s * t
+    return min(s, t) - 0.5 if s >= 0.5 and t >= 0.5 else 0.0
+
+
+# Table file -> its text: a PSD covariance on the nodes 0, 0.5 and 1, zero at
+# time 0; and the pinned covariance on the grid's own nodes, whose active
+# nodes are not contiguous, so sampling takes the mask route.
+TABLES = {
+    "table.csv": "0,0.5,1\n0,0,0\n0,0.5,0.3\n0,0.3,1.2\n",
+    "pinned.csv": "".join(
+        ",".join(map(repr, row)) + "\n"
+        for row in [NODES] + [[_pinned(s, t) for t in NODES] for s in NODES]
+    ),
+}
 KERNELS = {
     "brownian": {"kind": "brownian"},
     "fbm": {"kind": "fbm", "hurst": 0.4},
     "table": {"kind": "table", "path": "table.csv"},
+    "pinned": {"kind": "table", "path": "pinned.csv"},
 }
 # Subcommand -> its config keys beyond kernel, n and seed.
 KEYS = {
@@ -111,7 +132,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            Path(KERNELS["table"]["path"]).write_text(TABLE)
+            for path, text in TABLES.items():
+                Path(path).write_text(text)
             for name, (command, config) in selected.items():
                 for seed in SEEDS:
                     for fmt in FORMATS:
