@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -109,6 +110,18 @@ def test_pvar_refinement_monotone(rng):
     fine = lift_pl(SamplePath(TimeGrid(fine_t), fine_vals))
     for p in (1.0, 2.5):
         assert pvar_norm(fine, p) >= pvar_norm(coarse, p) - 1e-12
+
+
+def test_pvar_norm_at_huge_scale(rng):
+    # At 2^200 the squares of level coordinates overflow; those pair-table
+    # entries are redone with levels scaled by powers of two.
+    path = random_path(rng, 2, 8)
+    big = lift_pl(SamplePath(path.grid, path.values * 2.0**200))
+    for p in (1.0, 2.5):
+        unit = pvar_norm(lift_pl(path), p)
+        assert abs(pvar_norm(big, p) / 2.0**200 - unit) <= 1e-12 * unit
+    unit = holder_norm(lift_pl(path), 0.3)
+    assert abs(holder_norm(big, 0.3) / 2.0**200 - unit) <= 1e-12 * unit
 
 
 def test_pvar_validation(rng):
@@ -314,12 +327,14 @@ def test_cell_table_sums_equal_grid_sum(rng):
             member[1:n_seg] = rng.random(n_seg - 1) < 0.5
             states.append(np.flatnonzero(member))
             capacity = table.values.shape[0]
-            assert table.grid_sum(states[-1]) == vm._grid_sum(sub, states[-1], rho)
+            total, ip = table.grid_sum(states[-1])
+            assert total == vm._grid_sum(sub, states[-1], rho)
+            assert np.array_equal(ip, table.slot[states[-1][:-1], states[-1][1:]])
             grown += 0 < capacity < table.values.shape[0]
             assert table.values.shape[0] <= 2 * table.starts.size
         # Rows and columns slotted before a growth survive it unchanged.
         for idx in states:
-            assert table.grid_sum(idx) == vm._grid_sum(sub, idx, rho)
+            assert table.grid_sum(idx)[0] == vm._grid_sum(sub, idx, rho)
     assert grown > 20
 
 
@@ -360,10 +375,11 @@ def test_screened_gains_match_exact_differences(rng):
         member = np.ones(n_seg + 1, dtype=bool)
         member[1:n_seg] = rng.random(n_seg - 1) < 0.5
         before = vm._grid_sum(sub, np.flatnonzero(member), rho)
+        _, ip = table.grid_sum(np.flatnonzero(member))
         u = vm._window(member)
-        gain = vm._toggle_gains(table, member, u)
+        gain = vm._toggle_gains(table, member, ip, u)
         # One entry per pair i < j, in row-major order.
-        pair = iter(vm._pair_gains(table, member, u, gain))
+        pair = iter(vm._pair_gains(table, member, ip, u, gain))
         tol = 1e-12 * before
         for k in range(1, n_seg):
             after = member.copy()
@@ -398,16 +414,72 @@ def test_hillclimb_pair_phase_sums_only_screened_candidates(monkeypatch):
     assert 0 < max(sums) < 250
 
 
+def test_hillclimb_screens_pairs_of_full_grid_once(monkeypatch):
+    # At the rhovar benchmark's shape every climb ends at the full grid.  The
+    # first climb proves it a local max, and later climbs end on reaching
+    # it, so its pair screen runs once per search, not once per climb.
+    full_screens = []
+    pair_gains = vm._pair_gains
+
+    def counted(table, member, *args):
+        full_screens[-1] += bool(member.all())
+        return pair_gains(table, member, *args)
+
+    monkeypatch.setattr(vm, "_pair_gains", counted)
+    r = fbm_cov(28, 0.3)
+    for seed in range(5):
+        full_screens.append(0)
+        assert rho_var_2d(r, 1 / 0.6, mode="hillclimb", seed=seed) == rho_var_2d(r, 1 / 0.6)
+    assert full_screens == [1] * 5
+
+
 def test_hillclimb_exact_tie_brownian():
     # rho = 1 on Brownian covariance: only diagonal cells are nonzero, so
     # every toggle gains exactly nothing and the screen may skip none.
     r = brownian_cov(28)
     member = np.ones(29, dtype=bool)
     member[1::3] = False
-    gain = vm._toggle_gains(vm._CellTable(r, 1.0), member, vm._window(member))
+    table = vm._CellTable(r, 1.0)
+    _, ip = table.grid_sum(np.flatnonzero(member))
+    gain = vm._toggle_gains(table, member, ip, vm._window(member))
     assert np.max(np.abs(gain)) <= 1e-15
     assert abs(rho_var_2d(r, 1.0, mode="hillclimb") - 1.0) <= 1e-12
     assert abs(rho_var_2d(r, 1.0, mode="hillclimb", lo=5, hi=20) - 15 / 28) <= 1e-12
+
+
+def _two_dissection_brute(r, rho):
+    # Friz-Victoir's 2D rho-variation on the grid: the sup over pairs (D, D')
+    # of dissections, one per axis, of sum |R(D_i x D'_j)|^rho.
+    dissections = [np.array(d.indices) for d in all_dissections(r.shape[0] - 1)]
+    best = 0.0
+    for d in dissections:
+        rows = np.diff(r[d], axis=0)
+        for e in dissections:
+            best = max(best, float(np.sum(np.abs(np.diff(rows[:, e], axis=1)) ** rho)))
+    return best ** (1.0 / rho)
+
+
+def test_shared_dissection_attains_two_dissection_sup(rng):
+    # For a covariance the sup over D x D' is attained on one shared
+    # dissection D x D, which is what ``rho_var_2d`` searches.
+    cases = []
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        a = rng.normal(size=(n + 1, int(rng.integers(1, n + 2))))
+        cases.append((a @ a.T, float(rng.uniform(1.0, 3.0))))
+    for hurst, n in product((0.26, 0.3, 0.4), (3, 4, 5, 6)):
+        cases += [(fbm_cov(n, hurst), rho) for rho in (1.0, 0.5 / hurst, 2.0, 2.5)]
+    for r, rho in cases:
+        shared = rho_var_2d(r, rho, mode="brute")
+        assert abs(_two_dissection_brute(r, rho) - shared) <= 1e-12 * shared
+    # Control: without positive semi-definiteness D x D' can beat every D x D.
+    gaps = []
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        s = rng.normal(size=(n + 1, n + 1))
+        rho = float(rng.uniform(1.0, 3.0))
+        gaps.append(_two_dissection_brute(s + s.T, rho) / rho_var_2d(s + s.T, rho, mode="brute"))
+    assert max(gaps) > 1.01
 
 
 def test_rho_var_nonincreasing_in_rho(rng):
