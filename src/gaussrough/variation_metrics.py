@@ -30,10 +30,14 @@ The 2D functional for a covariance matrix R maximizes
 sum_{i,j} |rect increment of R over cell (i,j)|^rho over a single dissection
 used on both axes, and returns the rho-th root.  ``fullgrid`` evaluates the
 finest dissection, ``brute`` enumerates (small n), and ``hillclimb`` does a
-first-improvement local search: passes of single node toggles (insertion or
-deletion of an interior node) until none improves, then a pass over toggles
-of node pairs, repeated until neither improves; it runs from the full grid and
-from a few random restarts, so it never returns less than ``fullgrid``.
+first-improvement local search: one walk over the toggles of single interior
+nodes (insertion or deletion) and, when that accepts nothing, one over the
+toggles of node pairs, back to single toggles after any acceptance, until
+neither walk improves; it runs from the full grid and from a few random
+restarts, so it never returns less than ``fullgrid``.  Where a search's sum is
+exactly 0, every |cell|^rho may have underflowed: it is redone on R divided
+by 2^e, which puts the largest cell of the finest grid in [1, 2), and the
+root is multiplied back by 2^e, the rule of ``pvar_batch``.
 
 ``hillclimb`` reads every cell from a table of |rect increment of R|^rho
 between pairs of intervals [a,b] x [c,d], filled lazily: an interval gets a
@@ -55,21 +59,23 @@ corner: O(n) per candidate, all of them in one vectorized pass over the table.
 A single toggle rewrites a window of three nodes; a pair of toggles with no
 member between them rewrites one joint window of four; two toggles with
 disjoint windows add their gains and interact only through a 3 x 3 block of
-cells each way.  The pair phase visits only the pairs left by the screen, in
-row-major order.  A candidate whose screened gain is below minus a margin far
-above the rounding error of either computation is rejected unseen; every
-other candidate is evaluated exactly and accepted on the exact sum, so the
-search takes the decisions, and returns the value, that exact evaluation of
-every candidate gives.  The slots of the current dissection's intervals come
-with its exact sum and serve every screen of that state.
+cells each way.  A walk visits the candidates left by its screen, single
+nodes in order and pairs in row-major order, and after an acceptance those
+after it in the new state's screen.  A candidate whose screened gain is
+below minus a margin far above the rounding error of either computation is
+rejected unseen; every other candidate is evaluated exactly and accepted on
+the exact sum, so the search takes the decisions, and returns the value,
+that exact evaluation of every candidate gives.  The slots of the current
+dissection's intervals come with its exact sum and serve every screen of
+that state.
 
 A search remembers the final state of each finished climb, and a later climb
 that starts in one of them, or accepts one, ends there.  This is exact.  The
 current sum of a climb is always the exact sum of its state, with the same
 bits whatever order the table's slots were filled in, and the climb that
-ended at the state made a full pass of single toggles and a full pair phase
-from it that accepted nothing.  Every candidate of the later climb, in the
-rest of its pass and in the passes that would follow, is one of those
+ended at the state made a full walk of single toggles and a full walk of
+pairs from it that accepted nothing.  Every candidate of the later climb, in
+the rest of its walk and in the walks that would follow, is one of those
 candidates, judged against the same sum, so it would be rejected and the
 climb would return the same value.  For fbm with H <= 1/2 and rho <= 1/(2H)
 every climb ends at the full grid, whose pair screen then runs once per
@@ -220,11 +226,12 @@ def reduce_pair_dists(
                 z = increments(xs, entry, rows)
                 if shared is not None:
                     z = _left_quotient(z, shared)
-                # A square above the float range makes its entry infinite;
-                # only those entries are redone, with scaled levels.
+                # A square above the float range makes its entry infinite, and
+                # below a distance of 2^-170 a level-3 square can be subnormal
+                # or 0; only those entries are redone, with scaled levels.
                 with np.errstate(over="ignore"):
                     dist = _max_level_norm(z)
-                    bad = ~np.isfinite(dist)
+                    bad = ~np.isfinite(dist) | (dist < 2.0**-170)
                     if bad.any():
                         dist[bad] = _max_level_norm([lv[:, bad] for lv in z], _scaled_level_norm)
                 table[entry][at : at + chunk, i_idx, j_idx] = dist
@@ -382,6 +389,13 @@ def rho_var_2d(
     Operates on the sub-block of nodes lo..hi (inclusive; hi defaults to the
     last node).  Returns the rho-th root of the maximized cell sum.
 
+    Where that sum is exactly 0, every |cell|^rho may have underflowed: the
+    same search is redone on the block divided by 2^e, which puts the
+    largest |cell| of its finest grid in [1, 2), and the root is multiplied
+    back by 2^e.  A block whose cells are all 0 gives 0 again.  A coarser
+    dissection's cells can be larger than the finest grid's, so at large rho
+    the redone sum of ``brute`` or ``hillclimb`` can overflow to inf.
+
     Friz and Victoir take the sup over pairs D x D' of dissections, one per
     axis.  For a covariance (R positive semi-definite) that sup is attained
     on a shared dissection D x D, so this is their 2D rho-variation on the
@@ -404,22 +418,25 @@ def rho_var_2d(
     hi = r.shape[0] - 1 if hi is None else hi
     if not 0 <= lo < hi <= r.shape[0] - 1:
         raise ValueError("need 0 <= lo < hi within the node range")
-    nodes = np.arange(lo, hi + 1)
-    n_seg = nodes.size - 1
+    block = r[lo : hi + 1, lo : hi + 1]
+    n_seg = hi - lo
 
-    if mode == "fullgrid":
-        best = _grid_sum(r, nodes, rho)
-    elif mode == "brute":
-        if n_seg > BRUTE_MAX_2D:
-            raise ValueError(f"brute mode is limited to {BRUTE_MAX_2D} segments")
-        best = max(
-            _grid_sum(r, nodes[np.array(d.indices)], rho) for d in all_dissections(n_seg)
-        )
-    elif mode == "hillclimb":
-        best = _hillclimb(r[lo : hi + 1, lo : hi + 1], rho, seed)
-    else:
+    def search(sub: np.ndarray) -> float:
+        if mode == "fullgrid":
+            return _grid_sum(sub, np.arange(n_seg + 1), rho)
+        if mode == "brute":
+            if n_seg > BRUTE_MAX_2D:
+                raise ValueError(f"brute mode is limited to {BRUTE_MAX_2D} segments")
+            return max(_grid_sum(sub, np.array(d.indices), rho) for d in all_dissections(n_seg))
+        if mode == "hillclimb":
+            return _hillclimb(sub, rho, seed)
         raise ValueError(f"unknown mode {mode!r}")
-    return best ** (1.0 / rho)
+
+    best = search(block)
+    if best != 0.0:
+        return best ** (1.0 / rho)
+    e = math.frexp(np.max(np.abs(np.diff(np.diff(block, axis=0), axis=1))))[1] - 1
+    return math.ldexp(search(np.ldexp(block, -e)) ** (1.0 / rho), e)
 
 
 def _spans(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -582,40 +599,51 @@ def _pair_gains(
 
 def _hillclimb(r: np.ndarray, rho: float, seed: int) -> float:
     n_seg = r.shape[0] - 1
-    interior = range(1, n_seg)
     table = _CellTable(r, rho)
-    # Interior node pairs in ``_pair_gains`` order.
-    pairs = np.transpose(np.triu_indices(n_seg - 1, 1)) + 1
+    # The nodes each candidate toggles: single interior nodes in
+    # ``_toggle_gains`` order, then node pairs in ``_pair_gains`` order.
+    moves = (
+        np.arange(1, n_seg)[:, None],
+        np.transpose(np.triu_indices(n_seg - 1, 1)) + 1,
+    )
     # No cell exceeds (4 max|R|)^rho, so rounding moves an exact grid sum or a
     # screened gain by less than about rho * n_seg^2 * eps times that bound.
     # An infinite or NaN margin skips nothing.
     with np.errstate(over="ignore"):
         margin = 1e-9 * n_seg**2 * (4 * np.max(np.abs(r))) ** rho
 
-    # Final states of finished climbs: local maxima that a full pass of
-    # single toggles and a full pair phase have failed to leave.
+    # Final states of finished climbs: local maxima that a full walk of
+    # single toggles and one of pairs have failed to leave.
     maxima: set[bytes] = set()
 
     def climb(member: np.ndarray) -> float:
-        # First-improvement toggles of interior nodes, then of node pairs
-        # (a single toggle can look bad while the pair is an improvement),
-        # repeated to a joint local max.  A candidate is evaluated exactly
-        # unless its screened gain is below -margin, far beyond the screen's
-        # rounding error, so each decision is the one an exact evaluation of
-        # every candidate makes.  The screen changes only on acceptance, and
-        # a climb that starts in or accepts a known local max ends there.
+        # First-improvement walks over the toggles of interior nodes, then of
+        # node pairs (a single toggle can look bad while the pair is an
+        # improvement), back to single toggles after any acceptance, to a
+        # joint local max.  A candidate is evaluated exactly unless its
+        # screened gain is below -margin, far beyond the screen's rounding
+        # error, so each decision is the one an exact evaluation of every
+        # candidate makes.  A climb that starts in or accepts a known local
+        # max ends there.
         current, ip = table.grid_sum(np.flatnonzero(member))
         if member.tobytes() in maxima:
             return current
         u = _window(member)
         gain = _toggle_gains(table, member, ip, u)
-        improved = True
-        while improved:
-            improved = False
-            for k in interior:
-                if gain[k - 1] < -margin:
+
+        def skipped() -> list[bool]:
+            # The candidates of this walk that the current state's screen rejects.
+            screen = gain if phase == 0 else _pair_gains(table, member, ip, u, gain)
+            return (screen < -margin).tolist()
+
+        phase = 0
+        while phase < len(moves):
+            improved, skip = False, skipped()
+            for at in range(len(skip)):
+                if skip[at]:
                     continue
-                member[k] = ~member[k]
+                nodes = moves[phase][at]
+                member[nodes] = ~member[nodes]
                 candidate, slots = table.grid_sum(np.flatnonzero(member))
                 if candidate > current * (1 + 1e-15):
                     current, ip = candidate, slots
@@ -624,32 +652,10 @@ def _hillclimb(r: np.ndarray, rho: float, seed: int) -> float:
                     improved = True
                     u = _window(member)
                     gain = _toggle_gains(table, member, ip, u)
+                    skip = skipped()
                 else:
-                    member[k] = ~member[k]
-            if improved:
-                continue
-            # The pairs left by the screen, in row-major order; after an
-            # acceptance, those after it in the new state's screen.
-            pair = _pair_gains(table, member, ip, u, gain)
-            todo = np.flatnonzero(~(pair < -margin))
-            while todo.size:
-                at, todo = todo[0], todo[1:]
-                ka, kb = pairs[at]
-                member[ka] = ~member[ka]
-                member[kb] = ~member[kb]
-                candidate, slots = table.grid_sum(np.flatnonzero(member))
-                if candidate > current * (1 + 1e-15):
-                    current, ip = candidate, slots
-                    if member.tobytes() in maxima:
-                        return current
-                    improved = True
-                    u = _window(member)
-                    gain = _toggle_gains(table, member, ip, u)
-                    pair = _pair_gains(table, member, ip, u, gain)
-                    todo = at + 1 + np.flatnonzero(~(pair[at + 1 :] < -margin))
-                else:
-                    member[ka] = ~member[ka]
-                    member[kb] = ~member[kb]
+                    member[nodes] = ~member[nodes]
+            phase = 0 if improved else phase + 1
         maxima.add(member.tobytes())
         return current
 
@@ -658,8 +664,7 @@ def _hillclimb(r: np.ndarray, rho: float, seed: int) -> float:
     rng = np.random.default_rng(seed)
     starts = [np.ones(n_seg + 1, dtype=bool) for _ in range(_HILLCLIMB_RESTARTS + 1)]
     for member in starts[1:]:
-        if interior:
-            member[1:n_seg] = rng.random(n_seg - 1) < 0.5
+        member[1:n_seg] = rng.random(n_seg - 1) < 0.5
     a: list[np.ndarray] = []
     b: list[np.ndarray] = []
     spans_a, spans_b, _ = _TRIPLE

@@ -998,16 +998,18 @@ def test_cli_pvar_tiny_distances_do_not_underflow(tmp_path):
     [(None, 600, "fullgrid"), ("tiny", 30, "fullgrid"), ("tiny", 30, "hillclimb")],
 )
 def test_cli_rhovar_underflow_exit_3(tmp_path, capsys, table, rho, search):
-    # Brownian motion at n=4 has rho-variation about 0.2506 at rho=600, but
-    # every |cell|^rho underflows: exit 3.  Brownian motion times 1e-14 at
-    # rho=30 underflows only at its own scale, not at the unit scale the
-    # runners use, so its value is 1e-14 times the unscaled table's.
+    # Brownian motion at n=4 has rho-variation 0.25 * 4^(1/600), about
+    # 0.2506, at rho=600, though every |cell|^rho underflows: the sum is
+    # redone on the covariance scaled up by a power of two.  Brownian motion
+    # times 1e-14 at rho=30 underflows only at its own scale, not at the unit
+    # scale the runners use, so its value is 1e-14 times the unscaled table's.
     config = dict(BROWNIAN, n=4, rho=rho, search=search)
     if table is None:
         code, out = run_cli(tmp_path, "rhovar", config)
-        assert code == 3 and not out.exists()
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("data error: rho-variation underflows")
+        assert code == 0 and capsys.readouterr().err == ""
+        (value,) = [r.value for r in read_records(str(out))]
+        exact = 0.25 * 4 ** (1 / 600)
+        assert abs(value - exact) <= 1e-12 * exact
         return
     values = {}
     for name in ("valid", table):

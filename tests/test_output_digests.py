@@ -39,4 +39,4 @@ def test_output_digests_cases_cover_every_subcommand():
 
     commands = {command for command, _ in digests.cases().values()}
     assert commands == set(SUBCOMMANDS)
-    assert len(digests.cases()) == len(SUBCOMMANDS) * len(digests.KERNELS) + 2
+    assert len(digests.cases()) == len(SUBCOMMANDS) * len(digests.KERNELS) + 3

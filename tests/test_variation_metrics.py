@@ -113,15 +113,17 @@ def test_pvar_refinement_monotone(rng):
 
 
 def test_pvar_norm_at_huge_scale(rng):
-    # At 2^200 the squares of level coordinates overflow; those pair-table
-    # entries are redone with levels scaled by powers of two.
+    # At 2^200 the squares of level coordinates overflow; at 2^-520 they are
+    # subnormal, and at 2^-600 they underflow to 0.  Those pair-table entries
+    # are redone with levels scaled by powers of two.
     path = random_path(rng, 2, 8)
-    big = lift_pl(SamplePath(path.grid, path.values * 2.0**200))
-    for p in (1.0, 2.5):
-        unit = pvar_norm(lift_pl(path), p)
-        assert abs(pvar_norm(big, p) / 2.0**200 - unit) <= 1e-12 * unit
-    unit = holder_norm(lift_pl(path), 0.3)
-    assert abs(holder_norm(big, 0.3) / 2.0**200 - unit) <= 1e-12 * unit
+    for shift in (200, -520, -600):
+        scaled = lift_pl(SamplePath(path.grid, np.ldexp(path.values, shift)))
+        for p in (1.0, 2.5):
+            unit = pvar_norm(lift_pl(path), p)
+            assert abs(np.ldexp(pvar_norm(scaled, p), -shift) - unit) <= 1e-12 * unit
+        unit = holder_norm(lift_pl(path), 0.3)
+        assert abs(np.ldexp(holder_norm(scaled, 0.3), -shift) - unit) <= 1e-12 * unit
 
 
 def test_pvar_validation(rng):
@@ -315,6 +317,22 @@ def test_hillclimb_equals_unscreened_search(rng):
         assert rho_var_2d(r, rho, mode="hillclimb", lo=lo, hi=hi, seed=seed) == ref
 
 
+def test_hillclimb_equals_unscreened_search_at_large_rho():
+    # At rho in [3, 8] coarse dissections win and climbs accept many
+    # toggles, so a walk that kept judging candidates by the screen of the
+    # state before an acceptance would skip improvements: with these seeds
+    # it changes 2 of these 80 values.
+    rng = np.random.default_rng(2022)
+    for case in range(80):
+        n = int(rng.integers(6, 17))
+        a = rng.normal(size=(n + 1, n + 1))
+        fbm = fbm_cov(n, float(rng.uniform(0.1, 0.5)))
+        r = (a @ a.T, a, fbm)[case % 3]
+        rho, seed = float(rng.uniform(3.0, 8.0)), int(rng.integers(0, 1 << 16))
+        ref = _reference_hillclimb(r, np.arange(n + 1), rho, seed) ** (1.0 / rho)
+        assert rho_var_2d(r, rho, mode="hillclimb", seed=seed) == ref
+
+
 def test_cell_table_sums_equal_grid_sum(rng):
     grown = 0
     for r, rho, lo, hi in random_rho_cases(rng, 40, 29):
@@ -445,6 +463,31 @@ def test_hillclimb_exact_tie_brownian():
     assert np.max(np.abs(gain)) <= 1e-15
     assert abs(rho_var_2d(r, 1.0, mode="hillclimb") - 1.0) <= 1e-12
     assert abs(rho_var_2d(r, 1.0, mode="hillclimb", lo=5, hi=20) - 15 / 28) <= 1e-12
+
+
+def test_rho_var_2d_redoes_underflowed_sums():
+    # fbm H=0.3 at n=8 and rho=600: every |cell|^rho of the full grid
+    # underflows (the largest cell is about 0.29), so its sum is redone on R
+    # scaled by a power of two.  The reference factors each dissection's
+    # largest cell M out of its sum instead: M (sum (|c|/M)^rho)^(1/rho).
+    r, rho = fbm_cov(8, 0.3), 600.0
+
+    def factored(idx):
+        cells = np.abs(np.diff(np.diff(r[np.ix_(idx, idx)], axis=0), axis=1))
+        top = np.max(cells)
+        return top * np.sum((cells / top) ** rho) ** (1.0 / rho)
+
+    assert vm._grid_sum(r, np.arange(9), rho) == 0.0
+    full = factored(np.arange(9))
+    assert abs(rho_var_2d(r, rho) - full) <= 1e-12 * full
+    brute = max(factored(np.array(d.indices)) for d in all_dissections(8))
+    assert abs(rho_var_2d(r, rho, mode="brute") - brute) <= 1e-12 * brute
+    assert rho_var_2d(r, rho, mode="hillclimb") >= rho_var_2d(r, rho)
+    # fbm H=0.1 times 2^-3: every dissection's sum underflows, in every mode.
+    r = fbm_cov(8, 0.1)
+    for mode in ("fullgrid", "brute", "hillclimb"):
+        unit = rho_var_2d(r, rho, mode=mode)
+        assert abs(rho_var_2d(np.ldexp(r, -3), rho, mode=mode) * 8 - unit) <= 1e-12 * unit
 
 
 def _two_dissection_brute(r, rho):

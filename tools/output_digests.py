@@ -5,7 +5,8 @@ Usage: python tools/output_digests.py [--src SRC_DIR] [CASE_PATTERN ...]
 Runs each of the nine subcommands at n = 8 on four kernels (Brownian motion,
 fbm with H = 0.4, a 3-node table, and a table on the run's own nine nodes
 with zero variance at t = 1/2 as well as at 0), plus two configs whose size
-no numpy array can hold.  A case is named SUBCOMMAND/KERNEL, such as
+no numpy array can hold and a ``rhovar`` at rho = 600, whose every
+|cell|^rho underflows.  A case is named SUBCOMMAND/KERNEL, such as
 ``lift/fbm`` or ``rhovar/huge-n``; the patterns (shell wildcards, default
 ``*``) select the cases.  Each case runs with the seeds 7 and 2^40, writing
 CSV and JSON.
@@ -89,6 +90,7 @@ def cases() -> dict[str, tuple[str, dict]]:
     brownian = {"kernel": KERNELS["brownian"], "n": N}
     out["rhovar/huge-n"] = ("rhovar", dict(brownian, n=10**400))
     out["simulate/huge-samples"] = ("simulate", dict(brownian, samples=10**31))
+    out["rhovar/rho600"] = ("rhovar", dict(brownian, rho=600, search="fullgrid"))
     return out
 
 
