@@ -15,15 +15,23 @@ serves elements that were never checked to be group-like.  The hot paths
 (``variation_metrics.reduce_pair_dists``, ``experiments.run_uniform_modulus``)
 work on increments of lifted paths, which are group-like: there the inverse
 is, level by level, a signed index reversal of g, so the symmetrized norm
-equals the plain max norm max_k |pi_k(g)|^(1/k) and they use that.
+equals the plain max norm max_k |pi_k(g)|^(1/k) and they use that.  Its one
+copy is ``max_level_norm``, on levels stored tensor axis first, the layout in
+which ``reduce_pair_dists`` builds its quotients; ``group_norm_levels`` moves
+batch-first levels into that layout, as views where they are contiguous.  It
+takes each norm from plain squares and redoes with power-of-two scaling only
+the entries whose squares may overflow or underflow, so the common case pays
+for no scaling.
 
 The public API wraps single elements in frozen dataclasses.  Under it lies
 the package's internal batch layer, shared between modules but not exported:
 level-stacked elements, one array per degree with any leading batch axes
 (level k has shape ``batch + (d,)*k``).  This module contributes
-``check_depth``, ``log_levels``, ``hom_norm_levels`` and ``group_norm_levels``
-(the plain norm); ``path_lift`` (``signature_at``, at every node or a few),
-``gaussian_process`` and ``variation_metrics`` name their parts.
+``check_depth``, ``log_levels``, ``hom_norm_levels``, ``group_norm_levels``
+(the plain norm) and ``max_level_norm`` (the plain norm, tensor axis first:
+level k as ``(d**k,) + batch``); ``path_lift`` (``signature_at``, at every
+node or a few), ``gaussian_process`` and ``variation_metrics`` name their
+parts.
 """
 
 from __future__ import annotations
@@ -113,33 +121,47 @@ def _inv_levels(g: Sequence[np.ndarray]) -> list[np.ndarray]:
     return _series(_strip_scalar(g), (1.0, -1.0, 1.0, -1.0))
 
 
-def _level_abs(levels: Sequence[np.ndarray]) -> list[np.ndarray]:
-    # Euclidean norm of each graded piece, batch axes preserved.  Each piece
-    # is divided by the power of two of its largest coordinate before it is
-    # squared, and the norm multiplied back.  Both steps are exact, and the
-    # largest square then lies in [1/4, 1), so the sum neither overflows nor
-    # underflows to 0.
-    out = []
-    for k, lv in enumerate(levels):
-        lv = np.abs(np.asarray(lv))
-        if k == 0:
-            out.append(lv)
-        else:
-            axes = tuple(range(lv.ndim - k, lv.ndim))
-            _, exp = np.frexp(np.max(lv, axis=axes, keepdims=True))
-            unit = np.ldexp(lv, -exp)
-            out.append(np.ldexp(np.sqrt(np.sum(unit * unit, axis=axes)), np.squeeze(exp, axes)))
-    return out
+def max_level_norm(z: Sequence[np.ndarray]) -> np.ndarray:
+    """max_k |z_k|^(1/k) over levels 1..depth stored tensor axis first,
+    level k as ``(d**k,) + batch``; batch-shaped.
+
+    Each level's norm comes from the squares of its coordinates.  A square
+    above the float range makes its entry infinite, and below a norm of
+    2^-170 a level-3 square can be subnormal or 0; only those entries are
+    redone, with each level divided by the power of two of its largest
+    coordinate and the norm multiplied back.  Both steps are exact, so an
+    entry whose squares are normal has the same bits either way.
+    """
+
+    def norm(lv: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.sum(lv * lv, axis=0))
+
+    def scaled_norm(lv: np.ndarray) -> np.ndarray:
+        exp = np.frexp(np.max(np.abs(lv), axis=0))[1]
+        return np.ldexp(norm(np.ldexp(lv, -exp)), exp)
+
+    def max_root(levels: Sequence[np.ndarray], level_norm) -> np.ndarray:
+        out = np.zeros(levels[0].shape[1:])
+        for k, lv in enumerate(levels, start=1):
+            np.maximum(out, level_norm(lv) ** (1.0 / k), out=out)
+        return out
+
+    with np.errstate(over="ignore"):
+        dist = max_root(z, norm)
+        bad = ~np.isfinite(dist) | (dist < 2.0**-170)
+        if bad.any():
+            dist[bad] = max_root([lv[:, bad] for lv in z], scaled_norm)
+    return dist
 
 
 def group_norm_levels(g: Sequence[np.ndarray]) -> np.ndarray:
     """Plain max norm max_k |pi_k(g)|^(1/k) of level-stacked elements,
     batch-shaped; equal to ``hom_norm_levels`` on group-like elements."""
-    levels = _level_abs(g)
-    best = np.zeros_like(levels[0])
-    for k in range(1, len(levels)):
-        best = np.maximum(best, levels[k] ** (1.0 / k))
-    return best
+    batch, d = np.shape(g[1])[:-1], np.shape(g[1])[-1]
+    # Views keep the tensor axis innermost in memory, so numpy sums each level
+    # in the order of a reduction over trailing tensor axes.
+    levels = enumerate(g[1:], start=1)
+    return max_level_norm([np.moveaxis(np.reshape(lv, batch + (d**k,)), -1, 0) for k, lv in levels])
 
 
 def hom_norm_levels(g: Sequence[np.ndarray]) -> np.ndarray:

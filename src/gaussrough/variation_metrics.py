@@ -23,8 +23,9 @@ which stay alive across the stack, fit in ``_PAIR_CHUNK_BYTES``, and the
 stack's tables of a group in ``_TABLE_CHUNK_BYTES``, so a reduction's
 per-call cost is paid once per group.  Chen's identity gives every node-pair increment from
 the node values, the quotient X_ij^{-1} Y_ij is formed in difference form, and
-the plain max-level norm is taken, which equals the symmetrized norm on these
-group-like increments.
+its plain max-level norm comes from ``tensor_group.max_level_norm``, which
+takes the levels in the tensor-axis-first layout they are built in; it equals
+the symmetrized norm on these group-like increments.
 
 The 2D functional for a covariance matrix R maximizes
 sum_{i,j} |rect increment of R over cell (i,j)|^rho over a single dissection
@@ -92,6 +93,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .path_lift import GroupPath
+from .tensor_group import max_level_norm
 
 __all__ = [
     "Dissection",
@@ -226,41 +228,12 @@ def reduce_pair_dists(
                 z = increments(xs, entry, rows)
                 if shared is not None:
                     z = _left_quotient(z, shared)
-                # A square above the float range makes its entry infinite, and
-                # below a distance of 2^-170 a level-3 square can be subnormal
-                # or 0; only those entries are redone, with scaled levels.
-                with np.errstate(over="ignore"):
-                    dist = _max_level_norm(z)
-                    bad = ~np.isfinite(dist) | (dist < 2.0**-170)
-                    if bad.any():
-                        dist[bad] = _max_level_norm([lv[:, bad] for lv in z], _scaled_level_norm)
-                table[entry][at : at + chunk, i_idx, j_idx] = dist
+                table[entry][at : at + chunk, i_idx, j_idx] = max_level_norm(z)
         for part, reduce in zip(parts, reductions):
             part.append(reduce(table))
     return tuple(
         np.concatenate(part, axis=1).reshape(stack + batch + part[0].shape[2:]) for part in parts
     )
-
-
-def _level_norm(lv: np.ndarray) -> np.ndarray:
-    # Euclidean norm over the tensor axis, which comes first.
-    return np.sqrt(np.sum(lv * lv, axis=0))
-
-
-def _scaled_level_norm(lv: np.ndarray) -> np.ndarray:
-    # ``_level_norm`` of the level divided by the power of two of its largest
-    # coordinate, multiplied back: both steps are exact, and no square
-    # overflows, so only a norm beyond the float range is infinite.
-    exp = np.frexp(np.max(np.abs(lv), axis=0))[1]
-    return np.ldexp(_level_norm(np.ldexp(lv, -exp)), exp)
-
-
-def _max_level_norm(z: Sequence[np.ndarray], norm=_level_norm) -> np.ndarray:
-    """max_k |z_k|^(1/k) over levels 1..depth stored tensor axis first."""
-    dist = np.zeros(z[0].shape[1:])
-    for k, lv in enumerate(z, start=1):
-        dist = np.maximum(dist, norm(lv) ** (1.0 / k))
-    return dist
 
 
 def pair_dist_table(x: Sequence[np.ndarray], y: Sequence[np.ndarray] | None = None) -> np.ndarray:
@@ -311,17 +284,6 @@ def _check_shared_grid(x: GroupPath, y: GroupPath | None) -> None:
         raise ValueError("paths must share dim and depth")
 
 
-def _brute_max_sum(cost: np.ndarray) -> float:
-    n_seg = cost.shape[0] - 1
-    best = -np.inf
-    for d in all_dissections(n_seg):
-        idx = d.indices
-        s = sum(cost[a, b] for a, b in zip(idx, idx[1:]))
-        if s > best:
-            best = s
-    return float(best)
-
-
 def pvar_dist(x: GroupPath, y: GroupPath | None, p: float, mode: str = "dp") -> float:
     """p-variation distance between two lifted paths on their shared grid.
 
@@ -339,7 +301,13 @@ def pvar_dist(x: GroupPath, y: GroupPath | None, p: float, mode: str = "dp") -> 
         raise ValueError(f"unknown mode {mode!r}")
     if x.grid.n_segments > _BRUTE_MAX_SEGMENTS:
         raise ValueError(f"brute mode is limited to {_BRUTE_MAX_SEGMENTS} segments")
-    return _brute_max_sum(table**p) ** (1.0 / p)
+    cost = table**p
+    return float(
+        max(
+            sum(cost[a, b] for a, b in zip(d.indices, d.indices[1:]))
+            for d in all_dissections(x.grid.n_segments)
+        )
+    ) ** (1.0 / p)
 
 
 def pvar_norm(x: GroupPath, p: float, mode: str = "dp") -> float:

@@ -23,6 +23,7 @@ from gaussrough import (
     shuffle_defect,
     unit,
 )
+from gaussrough.tensor_group import group_norm_levels
 from conftest import assert_elements_close, bracket_triple, random_group, random_lie
 
 TOL = 1e-12
@@ -293,3 +294,54 @@ def test_hom_norm_subadditive_with_recorded_constant(rng):
         assert ratio <= c_sub + 1e-9
         hit_near_one = hit_near_one or ratio > 0.9
     assert hit_near_one
+
+
+def _group_batch(rng, d, shape):
+    # Level-stacked random group elements of mixed sizes, batch axes first.
+    elements = [
+        random_group(rng, d, scale=float(np.exp(rng.uniform(-3, 3))))
+        for _ in range(int(np.prod(shape)))
+    ]
+    return [np.reshape([g.levels[k] for g in elements], shape + (d,) * k) for k in range(4)]
+
+
+def _scaled_norm_reference(g):
+    # Every level divided by the power of two of its largest coordinate
+    # before it is squared, tensor axes last: the norm taken on every entry.
+    best = np.zeros(np.shape(g[1])[:-1])
+    for k, lv in enumerate(g[1:], start=1):
+        axes = tuple(range(lv.ndim - k, lv.ndim))
+        exp2 = np.frexp(np.max(np.abs(lv), axis=axes, keepdims=True))[1]
+        unit = np.ldexp(np.abs(lv), -exp2)
+        norm = np.ldexp(np.sqrt(np.sum(unit * unit, axis=axes)), np.squeeze(exp2, axes))
+        best = np.maximum(best, norm ** (1.0 / k))
+    return best
+
+
+@pytest.mark.parametrize("shape", [(), (200,), (5, 7)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_group_norm_levels_equals_scaled_reference_at_unit_scale(d, shape):
+    # Scaling by a power of two commutes exactly with squaring, summing and
+    # sqrt, so the norm from plain squares has the reference's bits.
+    rng = np.random.default_rng(24 + d)
+    for _ in range(3):
+        g = _group_batch(rng, d, shape)
+        norm = group_norm_levels(g)
+        assert norm.shape == shape
+        assert np.array_equal(norm, _scaled_norm_reference(g))
+
+
+def test_group_norm_levels_mixed_scale_batch():
+    # Elements dilated by 2^300 have level-3 squares beyond the float range,
+    # and by 2^-300 a norm below 2^-170: only those entries of the 2-D batch
+    # are redone, and the unit entries keep their bits.
+    rng = np.random.default_rng(2400)
+    g = _group_batch(rng, 3, (5, 7))
+    j = rng.choice([-300, 0, 300], size=(5, 7))
+    assert {-300, 0, 300} <= set(j.ravel().tolist())
+    dilated = [lv * 2.0 ** (k * j).reshape((5, 7) + (1,) * k) for k, lv in enumerate(g)]
+    norm, unit_norm = group_norm_levels(dilated), group_norm_levels(g)
+    at_unit = j == 0
+    assert np.array_equal(norm[at_unit], unit_norm[at_unit])
+    image = np.ldexp(unit_norm[~at_unit], j[~at_unit])
+    assert np.all(np.abs(norm[~at_unit] - image) <= 1e-12 * image)
