@@ -333,6 +333,22 @@ def test_hillclimb_equals_unscreened_search_at_large_rho():
         assert rho_var_2d(r, rho, mode="hillclimb", seed=seed) == ref
 
 
+@pytest.mark.parametrize(
+    "n, hurst, rho, seeds",
+    [
+        (28, 0.3, 1 / 0.6, range(3)),  # the rhovar benchmark's shape
+        (28, 0.7, 2.0, range(3)),  # these two leave the full grid
+        (28, 0.26, 2.0, range(3)),
+        (40, 0.26, 2.0, [0]),
+    ],
+)
+def test_hillclimb_equals_unscreened_search_on_fbm(n, hurst, rho, seeds):
+    r = fbm_cov(n, hurst)
+    for seed in seeds:
+        ref = _reference_hillclimb(r, np.arange(n + 1), rho, seed) ** (1.0 / rho)
+        assert rho_var_2d(r, rho, mode="hillclimb", seed=seed) == ref
+
+
 def test_cell_table_sums_equal_grid_sum(rng):
     grown = 0
     for r, rho, lo, hi in random_rho_cases(rng, 40, 29):
@@ -417,7 +433,8 @@ def test_screened_gains_match_exact_differences(rng):
 def test_hillclimb_pair_phase_sums_only_screened_candidates(monkeypatch):
     # fbm H=0.3 at n=28 and rho=1/0.6 (the rhovar benchmark's shape): every
     # overlapping-window pair used to be summed exactly, 393-453 sums per
-    # search; screening them leaves 154-163.
+    # search; screening them leaves 154-163, and rebuilding a screen only
+    # when a walk is about to skip on it 159-173.
     sums = []
 
     class Counted(vm._CellTable):
@@ -449,6 +466,25 @@ def test_hillclimb_screens_pairs_of_full_grid_once(monkeypatch):
         full_screens.append(0)
         assert rho_var_2d(r, 1 / 0.6, mode="hillclimb", seed=seed) == rho_var_2d(r, 1 / 0.6)
     assert full_screens == [1] * 5
+
+
+def test_hillclimb_rebuilds_toggle_screen_only_to_skip(monkeypatch):
+    # At the rhovar benchmark's shape a search accepts about 141 toggles.
+    # Rebuilding the toggle screen after each acceptance made 145-154 screens
+    # per search; rebuilding it only when the walk reaches a candidate that
+    # the stale screen would skip makes 88-105.
+    screens = []
+    toggle_gains = vm._toggle_gains
+
+    def counted(*args):
+        screens[-1] += 1
+        return toggle_gains(*args)
+
+    monkeypatch.setattr(vm, "_toggle_gains", counted)
+    for seed in range(5):
+        screens.append(0)
+        rho_var_2d(fbm_cov(28, 0.3), 1 / 0.6, mode="hillclimb", seed=seed)
+    assert 0 < max(screens) <= 120
 
 
 def test_hillclimb_exact_tie_brownian():
