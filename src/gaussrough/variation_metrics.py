@@ -72,8 +72,8 @@ a new walk reuses the screen when nothing has been accepted since it was
 built.  So every skip comes from the current state's own screen, every other
 candidate is judged on its exact sum, and the search takes the decisions,
 and returns the value, that exact evaluation of every candidate gives.  At
-the rhovar benchmark's shape this builds 88-105 toggle screens per search
-instead of one per acceptance, 145-154.  The slots of the current
+the rhovar benchmark's shape a search builds 88-105 toggle screens.  The
+slots of the current
 dissection's intervals come with its exact sum and serve every screen of
 that state.
 
@@ -599,10 +599,10 @@ def _hillclimb(r: np.ndarray, rho: float, seed: int) -> float:
         # state's screen puts its gain below -margin, far beyond the screen's
         # rounding error; every other one is evaluated exactly, so each
         # decision is the one an exact evaluation of every candidate makes.
-        # An acceptance only marks the screen stale: the walk goes on with
-        # the stale screen's skips and rebuilds the screen when it reaches
-        # one of them.  A climb that starts in or accepts a known local max
-        # ends there.
+        # An acceptance only marks the screen stale: the walk evaluates
+        # exactly each later candidate the stale screen passes and rebuilds
+        # the screen on reaching one it would skip.  A climb that starts in
+        # or accepts a known local max ends there.
         current, ip = table.grid_sum(np.flatnonzero(member))
         if member.tobytes() in maxima:
             return current
